@@ -67,7 +67,6 @@ from .raytrace import (
 )
 from .tensors import (
     FieldTensor,
-    Metric3,
     Metric4,
     MINKOWSKI,
     TensorKind,
@@ -83,7 +82,6 @@ from .tensors import (
     levi_civita4,
     lower_field_tensor,
     metric_inverse,
-    minkowski,
     raise_field_tensor,
     sqrt_minus_det,
 )

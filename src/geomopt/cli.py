@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import (
     ConfigError,
     GeomOptError,
@@ -61,6 +60,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+# Kept under this name: the benchmark times the sweep as cli.sweep_s through it.
+def parallel_map(fn, items):
+    """Serial, order-preserving map of ``fn`` over one sweep's items."""
+    return [fn(item) for item in items]
+
+
 def _triple(data, key: str, default=None, *, cast=float):
     raw = data.get(key, default)
     _require(raw is not None, f"{key}: required")
@@ -70,7 +79,7 @@ def _triple(data, key: str, default=None, *, cast=float):
     )
     try:
         return tuple(cast(v) for v in raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -83,6 +92,10 @@ class GridSpec:
     resolution: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        _require(
+            _finite(self.origin + self.extents),
+            f"grid: origin and extents must be finite, got {self.origin}, {self.extents}",
+        )
         for axis in range(3):
             n = self.resolution[axis]
             _require(n >= 1, f"grid.resolution[{axis}]: must be >= 1, got {n}")
@@ -136,9 +149,22 @@ class RaySpec:
     project_null: bool = True
 
     def __post_init__(self) -> None:
-        _require(self.step > 0.0, f"rays.step: must be > 0, got {self.step}")
+        _require(
+            math.isfinite(self.step) and self.step > 0.0,
+            f"rays.step: must be finite and > 0, got {self.step}",
+        )
         _require(self.steps >= 1, f"rays.steps: must be >= 1, got {self.steps}")
+        _require(
+            math.isfinite(self.frequency),
+            f"rays.frequency: must be finite, got {self.frequency}",
+        )
         _require(len(self.launches) >= 1, "rays.launches: need at least one launch")
+        for i, (origin, direction) in enumerate(self.launches):
+            _require(
+                _finite(origin + direction),
+                f"rays.launches[{i}]: origin and direction must be finite",
+            )
+            _require(any(direction), f"rays.launches[{i}].direction: must be nonzero")
 
     @classmethod
     def from_dict(cls, data) -> "RaySpec":
@@ -158,15 +184,18 @@ class RaySpec:
                 )
             )
         try:
-            return cls(
-                launches=tuple(launches),
-                step=float(data.get("step", 1e-3)),
-                steps=int(data.get("steps", 1000)),
-                frequency=float(data.get("frequency", 1.0)),
-                project_null=bool(data.get("project_null", True)),
-            )
-        except (TypeError, ValueError) as exc:
+            step = float(data.get("step", 1e-3))
+            steps = int(data.get("steps", 1000))
+            frequency = float(data.get("frequency", 1.0))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"rays: {exc}") from exc
+        return cls(
+            launches=tuple(launches),
+            step=step,
+            steps=steps,
+            frequency=frequency,
+            project_null=bool(data.get("project_null", True)),
+        )
 
 
 @dataclass(frozen=True)
@@ -201,9 +230,9 @@ class SceneConfig:
         try:
             seed = int(data.get("seed", DEFAULT_SEED))
             c = float(data.get("c", 1.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
-        _require(c > 0.0, f"c: must be > 0, got {c}")
+        _require(math.isfinite(c) and c > 0.0, f"c: must be finite and > 0, got {c}")
         grid = GridSpec.from_dict(data["grid"]) if "grid" in data else None
         rays = RaySpec.from_dict(data["rays"]) if "rays" in data else None
         metric = data.get("metric")
@@ -454,7 +483,7 @@ def cmd_trace(cfg: SceneConfig) -> int:
         except NonNullLaunch as exc:
             return exc
 
-    outcomes = parallel_map(one, list(cfg.rays.launches))
+    outcomes = parallel_map(one, cfg.rays.launches)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0

@@ -36,6 +36,9 @@ __all__ = [
     "tamm_moving_anisotropic_3d",
 ]
 
+SINGULAR_MU_TOL = 1e-12  # |det mu| floor, relative to max|mu|^3
+ALIGN_TOL = 1e-9  # largest off-axis velocity component, relative to |u|max
+
 
 def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -141,7 +144,7 @@ def apply_constitutive_3d(m: MaterialTensors, e, h) -> tuple[np.ndarray, np.ndar
     return m.eps @ e, m.mu @ h
 
 
-def lambda_from_eps_mu(eps, mu=None, *, mu_inv=None, tol: float = 1e-12) -> LambdaTensor:
+def lambda_from_eps_mu(eps, mu=None, *, mu_inv=None) -> LambdaTensor:
     """Constitutive tensor with blocks lam^{0i}_{0j} = eps^i_j / 2 and
     lam^{ij}_{mn} = eps^{ijk} eps_{lmn} (mu^{-1})^l_k / 2, zero mixed blocks,
     completed by pair antisymmetry.
@@ -155,7 +158,7 @@ def lambda_from_eps_mu(eps, mu=None, *, mu_inv=None, tol: float = 1e-12) -> Lamb
         mu = _check_3x3(mu, "mu")
         det = float(np.linalg.det(mu))
         scale = max(float(np.abs(mu).max()), np.finfo(float).tiny)
-        if abs(det) < tol * scale**3:
+        if abs(det) < SINGULAR_MU_TOL * scale**3:
             raise SingularMu(f"mu determinant {det} below tolerance")
         mu_inv = np.linalg.inv(mu)
     else:
@@ -229,20 +232,20 @@ def _require_diagonal(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be diagonal")
 
 
-def _require_axis_aligned(u: np.ndarray, tol: float) -> None:
+def _require_axis_aligned(u: np.ndarray) -> None:
     mags = np.abs(u)
     peak = float(mags.max())
     if peak == 0.0:
         return
     rest = np.sort(mags)[:2]
-    if float(rest.max()) > tol * peak:
+    if float(rest.max()) > ALIGN_TOL * peak:
         raise MisalignedVelocity(
             f"velocity {u.tolist()} is not parallel to a coordinate axis"
         )
 
 
 def tamm_moving_anisotropic_3d(
-    eps, mu, v: MediumVelocity, e, h, *, align_tol: float = 1e-9
+    eps, mu, v: MediumVelocity, e, h
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moving-medium relations for diagonal eps^i_l, mu^i_l with the velocity
     along a principal axis:
@@ -258,7 +261,7 @@ def tamm_moving_anisotropic_3d(
     mu = _check_3x3(mu, "mu")
     _require_diagonal(eps, "eps")
     _require_diagonal(mu, "mu")
-    _require_axis_aligned(v.u, align_tol)
+    _require_axis_aligned(v.u)
     e = np.asarray(e, dtype=float)
     h = np.asarray(h, dtype=float)
 

@@ -44,6 +44,8 @@ __all__ = [
     "coordinate_field",
 ]
 
+UNIT_INDEX_TOL = 1e-9  # smallest |n^2 - 1| in leonhardt_velocity
+
 
 @dataclass(frozen=True)
 class GeometrizationResult:
@@ -135,7 +137,7 @@ class MetricField:
 
     ``inverse_evaluate`` is an optional fast path returning the 4x4 inverse
     matrix directly; when absent the inverse is computed numerically.
-    Evaluators must be reentrant, so fields can be sampled in parallel.
+    Evaluators must be pure functions of the point.
     """
 
     evaluate: Callable[[np.ndarray], Metric4]
@@ -182,21 +184,19 @@ def index_profile_field(
     return MetricField(evaluate=evaluate, name=name, inverse_evaluate=inverse_evaluate)
 
 
-def leonhardt_velocity(
-    g: Metric4, n: float, *, c: float = 1.0, tol: float = 1e-9
-) -> np.ndarray:
+def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
     """Moving-frame reading of the coupling term:
 
         u_i = (g_{i0} / g_00) * c * sqrt(|det g_{ij}|) / (n^2 - 1).
 
     The spatial determinant is taken in absolute value (it is negative in
-    this signature).  Raises UnitIndexSingularity when n^2 is within ``tol``
-    of 1.
+    this signature).  Raises UnitIndexSingularity when n^2 is within
+    UNIT_INDEX_TOL of 1.
     """
     if not (np.isfinite(n) and n > 0.0):
         raise NonPositiveIndex(f"refractive index must be positive, got {n}")
     denom = n * n - 1.0
-    if abs(denom) <= tol:
+    if abs(denom) <= UNIT_INDEX_TOL:
         raise UnitIndexSingularity(f"n = {n} is too close to 1")
     g00 = _check_g00(g)
     spatial_det = float(np.linalg.det(g.spatial))

@@ -39,6 +39,12 @@ __all__ = [
     "catalog_entry",
 ]
 
+GRAD_DELTA = 1e-6  # central-difference step of the metric gradient
+NULL_TOL = 1e-9  # launch |H|, relative to the quadratic scale
+REFINE_DRIFT_TOL = 1e-11  # per-step jump in H, relative, that triggers refinement
+MAX_REFINE_DEPTH = 26
+REFINE_BUDGET = 20000  # RK4 steps one refined step may spend
+
 
 @dataclass(frozen=True)
 class RayState:
@@ -139,22 +145,18 @@ def trace_ray(
     step: float,
     n_steps: int,
     *,
-    grad_delta: float = 1e-6,
     project: bool = False,
     bounds: Sequence[tuple[float, float]] | None = None,
-    null_tol: float = 1e-9,
-    refine_drift_tol: float = 1e-11,
-    max_refine_depth: int = 26,
 ) -> RayTrajectory:
     """Integrate a null ray for ``n_steps`` fixed steps of size ``step``.
 
     ``bounds``, when given, is one (lo, hi) pair per spatial axis; a ray
     leaving the box returns the partial trajectory with the exit flag set.
-    Launch covectors must satisfy |H| <= null_tol (relative to the quadratic
+    Launch covectors must satisfy |H| <= NULL_TOL (relative to the quadratic
     scale) unless ``project=True``, which rescales the spatial part first.
 
     H is conserved exactly by the flow, so a per-step jump in H beyond
-    ``refine_drift_tol`` (relative) flags a medium discontinuity inside the
+    REFINE_DRIFT_TOL (relative) flags a medium discontinuity inside the
     step (a lens rim, say), where a single fixed step is only first-order
     accurate.  Such a step is deterministically re-integrated by recursive
     bisection, accepting subintervals once a full step and two half steps
@@ -175,7 +177,7 @@ def trace_ray(
         k = project_to_null(ginv, k)
     h0 = hamiltonian(ginv, k)
     scale = max(0.5 * float(np.abs(ginv).max() * (k @ k)), 1.0)
-    if abs(h0) > null_tol * scale:
+    if abs(h0) > NULL_TOL * scale:
         raise NonNullLaunch(
             f"launch covector has |H| = {abs(h0)}, above tolerance; "
             "pass project=True to project onto the null shell"
@@ -188,11 +190,11 @@ def trace_ray(
         for i in (1, 2, 3):
             plus = xc[1:].copy()
             minus = xc[1:].copy()
-            plus[i - 1] += grad_delta
-            minus[i - 1] -= grad_delta
+            plus[i - 1] += GRAD_DELTA
+            minus[i - 1] -= GRAD_DELTA
             hp = float(kc @ field.inverse_at(plus) @ kc)
             hm = float(kc @ field.inverse_at(minus) @ kc)
-            dk[i] = -(hp - hm) / (4.0 * grad_delta)
+            dk[i] = -(hp - hm) / (4.0 * GRAD_DELTA)
         return dx, dk
 
     def rk4(xc, kc, width):
@@ -204,13 +206,13 @@ def trace_ray(
         kn = kc + (width / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
         return xn, kn
 
-    budget = [20000]
+    budget = [REFINE_BUDGET]
 
     def refine(xc, kc, width, depth):
         xa, ka = rk4(xc, kc, 0.5 * width)
         xb, kb = rk4(xa, ka, 0.5 * width)
         budget[0] -= 3
-        if depth < max_refine_depth and budget[0] > 0:
+        if depth < MAX_REFINE_DEPTH and budget[0] > 0:
             x_full, k_full = rk4(xc, kc, width)
             mismatch = max(
                 float(np.abs(x_full - xb).max()), float(np.abs(k_full - kb).max())
@@ -233,8 +235,8 @@ def trace_ray(
     for istep in range(n_steps):
         x_new, k_new = rk4(x, k, step)
         h_new = hamiltonian(field.inverse_at(x_new[1:]), k_new)
-        if abs(h_new - h_now) > refine_drift_tol * scale:
-            budget[0] = 20000
+        if abs(h_new - h_now) > REFINE_DRIFT_TOL * scale:
+            budget[0] = REFINE_BUDGET
             x_new, k_new = refine(x, k, step, 0)
             h_new = hamiltonian(field.inverse_at(x_new[1:]), k_new)
         x, k, h_now = x_new, k_new, h_new
@@ -316,12 +318,16 @@ _ALIASES = {
 
 
 def catalog_entry(name: str, **params) -> MediumCatalogEntry:
-    """Look up a catalog medium by name; ``homogeneous`` accepts ``n``."""
+    """Look up a catalog medium by name; only ``homogeneous`` takes a
+    parameter, ``n``.  Any other parameter raises TypeError."""
     key = _ALIASES.get(name)
+    if key is None:
+        raise KeyError(f"unknown catalog medium {name!r}")
+    unknown = sorted(set(params) - ({"n"} if key == "homogeneous" else set()))
+    if unknown:
+        raise TypeError(f"{name} takes no parameter {', '.join(unknown)}")
     if key == "maxwell_fisheye":
         return maxwell_fisheye()
     if key == "luneburg":
         return luneburg_lens()
-    if key == "homogeneous":
-        return homogeneous_medium(float(params.get("n", 1.0)))
-    raise KeyError(f"unknown catalog medium {name!r}")
+    return homogeneous_medium(float(params.get("n", 1.0)))

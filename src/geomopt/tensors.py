@@ -29,10 +29,8 @@ __all__ = [
     "Variance",
     "TensorKind",
     "Metric4",
-    "Metric3",
     "FieldTensor",
     "MINKOWSKI",
-    "minkowski",
     "levi_civita3",
     "levi_civita4",
     "sqrt_minus_det",
@@ -47,6 +45,9 @@ __all__ = [
     "dual_F",
     "dual_G",
 ]
+
+
+SINGULAR_METRIC_TOL = 1e-12  # |det g| floor, relative to max|g|^4
 
 
 class Variance(enum.Enum):
@@ -108,36 +109,6 @@ class Metric4:
 
 
 @dataclass(frozen=True)
-class Metric3:
-    """Symmetric 3x3 spatial metric block g_{ij}.
-
-    Physically admissible blocks of this signature are negative definite;
-    that is not enforced, only symmetry is.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"spatial metric must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("spatial metric entries must be finite")
-        scale = max(float(np.abs(m).max()), 1.0)
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-            raise ValueError("spatial metric must be symmetric")
-        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.T)))
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @classmethod
-    def spatial_of(cls, g: Metric4) -> "Metric3":
-        return cls(g.spatial)
-
-
-@dataclass(frozen=True)
 class FieldTensor:
     """Antisymmetric 4x4 tensor with variance and kind tags."""
 
@@ -162,11 +133,6 @@ class FieldTensor:
 
 
 MINKOWSKI = Metric4(np.diag([1.0, -1.0, -1.0, -1.0]))
-
-
-def minkowski() -> Metric4:
-    """Flat metric diag(1, -1, -1, -1)."""
-    return MINKOWSKI
 
 
 @lru_cache(maxsize=None)
@@ -198,15 +164,15 @@ def sqrt_minus_det(g: Metric4) -> float:
     return float(np.sqrt(-det))
 
 
-def metric_inverse(g: Metric4, *, tol: float = 1e-12) -> Metric4:
+def metric_inverse(g: Metric4) -> Metric4:
     """Inverse metric g^{ab}, exactly symmetric, with g . g^{-1} = I.
 
-    Raises SingularMetric when |det g| < tol * max|g|^4.
+    Raises SingularMetric when |det g| < SINGULAR_METRIC_TOL * max|g|^4.
     """
     m = g.matrix
     det = float(np.linalg.det(m))
     scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
-    if abs(det) < tol * scale**4:
+    if abs(det) < SINGULAR_METRIC_TOL * scale**4:
         raise SingularMetric(f"metric determinant {det} below tolerance")
     inv = np.linalg.inv(m)
     return Metric4(0.5 * (inv + inv.T))

@@ -81,6 +81,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+CONNECTION_SYMMETRY_TOL = 1e-12  # lower-index asymmetry, relative to max|Gamma|
+VELOCITY_NORM_TOL = 1e-9  # |g(u, u) - c^2|, relative to max(c^2, 1)
+INNER_STEP_DIVISOR = 64.0  # bianchi_residual_grid: inner step = min spacing / this
 
 
 def _cyclic(x: np.ndarray) -> np.ndarray:
@@ -105,7 +108,6 @@ def cyclic_covariant_sum(
     gamma: np.ndarray,
     *,
     validate: bool = True,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Covariant cyclic sum expanded with the six connection terms.
 
@@ -120,7 +122,8 @@ def cyclic_covariant_sum(
         raise ValueError(f"connection must have shape (4, 4, 4), got {gamma.shape}")
     if validate:
         scale = max(float(np.abs(gamma).max()), np.finfo(float).tiny)
-        if float(np.abs(gamma - gamma.transpose(0, 2, 1)).max()) > tol * scale:
+        asymmetry = float(np.abs(gamma - gamma.transpose(0, 2, 1)).max())
+        if asymmetry > CONNECTION_SYMMETRY_TOL * scale:
             raise AsymmetricConnection("connection is not symmetric in its lower indices")
     partial = cyclic_partial_sum(df)
     terms = (
@@ -150,27 +153,21 @@ def _mesh(origin, shape, spacing) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bianchi_residual_grid(
-    potential: Callable[[np.ndarray], np.ndarray],
-    origin,
-    shape,
-    spacing,
-    *,
-    delta: float | None = None,
+    potential: Callable[[np.ndarray], np.ndarray], origin, shape, spacing
 ) -> float:
     """Interior max-abs residual of the cyclic derivative identity for
     F_{ab} = d_a A_b - d_b A_a built from an analytic potential.
 
     ``potential`` maps points of shape (..., 4) to components (..., 4).  F is
-    differenced at the fine scale ``delta`` (default: min spacing / 64) and
-    the cyclic sum at the grid spacing, so the returned residual measures the
+    differenced at the fine scale min spacing / INNER_STEP_DIVISOR and the
+    cyclic sum at the grid spacing, so the returned residual measures the
     O(h^2) truncation of the outer stencil; matching inner and outer scales
     would cancel identically and verify nothing.
     """
     if min(int(n) for n in shape) < 3:
         raise GridTooSmall(f"need at least 3 points per axis, got {tuple(shape)}")
     points, spacing = _mesh(origin, shape, spacing)
-    if delta is None:
-        delta = float(spacing.min()) / 64.0
+    delta = float(spacing.min()) / INNER_STEP_DIVISOR
     if delta <= 0.0:
         raise ValueError("delta must be positive")
 
@@ -274,7 +271,6 @@ def minkowski_projection_residual(
     g: Metric4,
     *,
     c: float = 1.0,
-    norm_tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Residual norms of the moving-media projections
 
@@ -287,7 +283,7 @@ def minkowski_projection_residual(
         raise ValueError("u4 must have 4 components")
     u_low = g.matrix @ u4
     norm = float(u4 @ u_low)
-    if abs(norm - c * c) > norm_tol * max(c * c, 1.0):
+    if abs(norm - c * c) > VELOCITY_NORM_TOL * max(c * c, 1.0):
         raise UnnormalizedVelocity(f"g(u, u) = {norm}, expected {c * c}")
 
     f_up = raise_field_tensor(f, g).matrix

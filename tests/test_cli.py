@@ -24,6 +24,7 @@ def read_rows(path):
 
 
 ETA = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+ALONG_X = [{"direction": [1, 0, 0]}]
 
 
 class TestConfigValidation:
@@ -298,6 +299,49 @@ class TestTraceCommand:
         assert run(["--config", cfg]) == 1
         assert "NonNullLaunch" in capsys.readouterr().out
 
+    def test_zero_direction_is_config_error(self, tmp_path, capsys):
+        cfg = self.trace_config(
+            tmp_path,
+            rays={"launches": [{"origin": [0, 0, 0], "direction": [0, 0, 0]}]},
+        )
+        assert run(["--config", cfg]) == 2
+        assert "config error: rays.launches[0].direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"rays": {"launches": ALONG_X, "step": "inf"}}, "rays.step"),
+            ({"rays": {"launches": ALONG_X, "frequency": "nan"}}, "rays.frequency"),
+            ({"rays": {"launches": ALONG_X, "steps": math.inf}}, "rays:"),
+            ({"c": "inf"}, "c:"),
+            ({"seed": math.inf}, "infinity"),
+            ({"grid": {"origin": [0, "-inf", 0]}}, "grid:"),
+            ({"grid": {"extents": [1, "nan", 1]}}, "grid:"),
+            ({"grid": {"resolution": [2, math.inf, 1]}}, "resolution"),
+            ({"rays": {"launches": [{"origin": [0, "nan", 0], **ALONG_X[0]}]}}, "rays.launches[0]"),
+            ({"rays": {"launches": [{"direction": ["inf", 0, 0]}]}}, "rays.launches[0]"),
+        ],
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, overrides, where):
+        cfg = self.trace_config(tmp_path, **overrides)
+        assert run(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "medium, param",
+        [
+            ({"name": "luneburg", "radius": 3}, "radius"),
+            ({"name": "homogeneous", "n": 1.5, "scale": 2}, "scale"),
+        ],
+    )
+    def test_unknown_medium_parameter_is_config_error(self, tmp_path, capsys, medium, param):
+        cfg = self.trace_config(tmp_path, medium=medium)
+        assert run(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: medium: ") and param in err
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -359,18 +403,7 @@ class TestDeterminism:
 
 
 class TestParallelism:
-    def test_thread_cap_env(self, monkeypatch):
-        from geomopt._parallel import parallel_map, thread_count
-
-        monkeypatch.setenv("GEOMOPT_THREADS", "1")
-        assert thread_count() == 1
-        monkeypatch.setenv("GEOMOPT_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("GEOMOPT_THREADS", "not-a-number")
-        assert thread_count() >= 1
-        assert parallel_map(lambda x: x * x, list(range(9))) == [x * x for x in range(9)]
-
-    def test_capped_run_matches_serial(self, tmp_path, monkeypatch):
+    def test_sweep_reruns_byte_identical(self, tmp_path):
         base = {
             "mode": "geometrize",
             "metric": {"index": {"name": "luneburg"}},
@@ -378,9 +411,7 @@ class TestParallelism:
         }
         cfg_a = write_config(tmp_path, {**base, "out_dir": str(tmp_path / "a")}, "a.json")
         cfg_b = write_config(tmp_path, {**base, "out_dir": str(tmp_path / "b")}, "b.json")
-        monkeypatch.setenv("GEOMOPT_THREADS", "1")
         assert run(["--config", cfg_a]) == 0
-        monkeypatch.setenv("GEOMOPT_THREADS", "4")
         assert run(["--config", cfg_b]) == 0
         assert (tmp_path / "a" / "materials.csv").read_bytes() == (
             tmp_path / "b" / "materials.csv"

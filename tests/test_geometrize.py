@@ -141,6 +141,30 @@ class TestPlebanskiCurvilinear:
             raising = -metric_inverse(gamma).matrix[1:, 1:]
             assert np.abs(d - raising @ e).max() < 1e-12
 
+    def test_spatial_frame_change_is_a_tensor_map(self, rng):
+        """With g -> L^T g L and eta -> L^T eta L for L = diag(1, J), the
+        medium transforms as eps -> J^-1 eps J^-T and w -> J^T w."""
+        worst_eps = worst_w = 0.0
+        for _ in range(200):
+            g = random_lorentzian_metric(rng)
+            jac = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+            frame = np.eye(4)
+            frame[1:, 1:] = jac
+            res = plebanski_cartesian(g).material
+            moved = plebanski_curvilinear(
+                Metric4(frame.T @ g.matrix @ frame),
+                Metric4(frame.T @ MINKOWSKI.matrix @ frame),
+            ).material
+            jinv = np.linalg.inv(jac)
+            expected_eps = jinv @ res.eps @ jinv.T
+            worst_eps = max(
+                worst_eps,
+                float(np.abs(moved.eps - expected_eps).max() / np.abs(expected_eps).max()),
+            )
+            worst_w = max(worst_w, float(np.abs(moved.w - jac.T @ res.w).max()))
+        assert worst_eps < 1e-11
+        assert worst_w < 1e-11
+
     def test_spatially_scaled_metric(self):
         n = 3.0
         g = Metric4(np.diag([1.0, -(n**2), -(n**2), -(n**2)]))

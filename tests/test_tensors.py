@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from geomopt import (
     MINKOWSKI,
     FieldTensor,
-    Metric3,
     Metric4,
     NonLorentzian,
     SingularMetric,
@@ -84,11 +83,10 @@ class TestMetricTypes:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 2.0
 
-    def test_metric3_spatial_block(self):
+    def test_spatial_block(self):
         g = Metric4(np.diag([1.0, -4.0, -1.0, -1.0]))
-        m3 = Metric3.spatial_of(g)
-        assert_allclose(m3.matrix, np.diag([-4.0, -1.0, -1.0]))
-        assert m3.det == pytest.approx(-4.0)
+        assert_allclose(g.spatial, np.diag([-4.0, -1.0, -1.0]))
+        assert np.linalg.det(g.spatial) == pytest.approx(-4.0)
 
 
 class TestMetricInverse:
