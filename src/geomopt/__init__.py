@@ -50,6 +50,7 @@ from .geometrize import (
     metric_identity_residual,
     plebanski_cartesian,
     plebanski_curvilinear,
+    plebanski_stack,
 )
 from .raytrace import (
     MediumCatalogEntry,

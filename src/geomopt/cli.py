@@ -7,32 +7,24 @@ reruns with identical config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GeomOptError,
-    NonLorentzian,
-    NonNullLaunch,
-    NonPositiveIndex,
-    ZeroG00,
-)
+from .errors import ConfigError, GeomOptError, NonNullLaunch, NonPositiveIndex
 from .geometrize import (
     MetricField,
     coordinate_field,
     isotropic_metric_from_index,
-    plebanski_cartesian,
-    plebanski_curvilinear,
+    plebanski_stack,
 )
 from .raytrace import MediumCatalogEntry, catalog_entry, launch_state, trace_ray
-from .tensors import Metric4
+from .tensors import Metric4, sqrt_minus
 from .verify import DEFAULT_SEED, default_check_suite, format_check, suite_ok
 
 __all__ = [
@@ -49,12 +41,6 @@ __all__ = [
 MODES = ("geometrize", "inverse", "trace", "verify")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -68,6 +54,13 @@ def _finite(values) -> bool:
 def parallel_map(fn, items):
     """Serial, order-preserving map of ``fn`` over one sweep's items."""
     return [fn(item) for item in items]
+
+
+def _whole(raw) -> int:
+    """int(raw) for an integer config value; a bool or a fraction is refused."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and raw != int(raw)):
+        raise ValueError(f"expected a whole number, got {raw!r}")
+    return int(raw)
 
 
 def _triple(data, key: str, default=None, *, cast=float):
@@ -111,7 +104,7 @@ class GridSpec:
         return cls(
             origin=_triple(data, "origin", default=[0.0, 0.0, 0.0]),
             extents=_triple(data, "extents", default=[1.0, 1.0, 1.0]),
-            resolution=_triple(data, "resolution", default=[2, 2, 1], cast=int),
+            resolution=_triple(data, "resolution", default=[2, 2, 1], cast=_whole),
         )
 
     def axis_coords(self, axis: int) -> np.ndarray:
@@ -120,12 +113,10 @@ class GridSpec:
             return np.array([self.origin[axis]])
         return self.origin[axis] + np.linspace(0.0, self.extents[axis], n)
 
-    def points(self) -> list[np.ndarray]:
-        axes = [self.axis_coords(a) for a in range(3)]
-        return [
-            np.array([x, y, z])
-            for x, y, z in itertools.product(axes[0], axes[1], axes[2])
-        ]
+    def points(self) -> np.ndarray:
+        """(N, 3) sample positions, the last axis varying fastest."""
+        axes = np.meshgrid(*(self.axis_coords(a) for a in range(3)), indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, 3)
 
     def bounds(self) -> list[tuple[float, float]]:
         out = []
@@ -185,16 +176,18 @@ class RaySpec:
             )
         try:
             step = float(data.get("step", 1e-3))
-            steps = int(data.get("steps", 1000))
+            steps = _whole(data.get("steps", 1000))
             frequency = float(data.get("frequency", 1.0))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"rays: {exc}") from exc
+        project_null = data.get("project_null", True)
+        _require(isinstance(project_null, bool), "rays.project_null: expected true or false")
         return cls(
             launches=tuple(launches),
             step=step,
             steps=steps,
             frequency=frequency,
-            project_null=bool(data.get("project_null", True)),
+            project_null=project_null,
         )
 
 
@@ -228,10 +221,13 @@ class SceneConfig:
             f"coordinates: unknown system {coordinates!r}",
         )
         try:
-            seed = int(data.get("seed", DEFAULT_SEED))
+            seed = _whole(data.get("seed", DEFAULT_SEED))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"seed: {exc}") from exc
+        try:
             c = float(data.get("c", 1.0))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"c: {exc}") from exc
         _require(math.isfinite(c) and c > 0.0, f"c: must be finite and > 0, got {c}")
         grid = GridSpec.from_dict(data["grid"]) if "grid" in data else None
         rays = RaySpec.from_dict(data["rays"]) if "rays" in data else None
@@ -302,77 +298,70 @@ METRIC_HEADER = [
 ]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: list[str], columns: np.ndarray) -> None:
+    """One line per row of ``columns`` at 17 significant digits; an object array ends in a flag."""
+    fields = ["%.17g"] * columns.shape[1]
+    if columns.dtype == object:
+        fields[-1] = "%s"
+    template = ",".join(fields)
+    lines = [",".join(header)] + [template % tuple(row) for row in columns.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _sample(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked metrics over the points; NaN and a flag where the index is not positive."""
+
+    def at(point: np.ndarray):
+        try:
+            return evaluate(point).matrix, "ok"
+        except NonPositiveIndex as exc:
+            return np.full((4, 4), math.nan), type(exc).__name__
+
+    matrices, flags = zip(*parallel_map(at, points))
+    return np.stack(matrices), np.array(flags, dtype=object)
 
 
 def cmd_geometrize(cfg: SceneConfig) -> int:
     """Sample the material map over the grid; write materials.csv + summary.json."""
     _require(cfg.grid is not None, "grid: required in geometrize mode")
     gamma_field = coordinate_field(cfg.coordinates)
-    metric_field = _metric_field(cfg, gamma_field)
-    cartesian = cfg.coordinates == "cartesian"
+    points = cfg.grid.points()
+    g, flags = _sample(_metric_field(cfg, gamma_field).metric_at, points)
+    if cfg.coordinates == "cartesian":
+        sqrt_minus_gamma = np.ones(len(points))
+    else:
+        sqrt_minus_gamma = sqrt_minus(np.linalg.det(_sample(gamma_field.metric_at, points)[0]))
+    ok = flags == "ok"
+    eps = np.full((len(points), 3, 3), math.nan)
+    w = np.full((len(points), 3), math.nan)
+    eps[ok], w[ok], _, flags[ok] = plebanski_stack(g[ok], sqrt_minus_gamma[ok])
 
-    def one(point: np.ndarray):
-        base = [float(point[0]), float(point[1]), float(point[2])]
-        try:
-            g = metric_field.metric_at(point)
-            if cartesian:
-                res = plebanski_cartesian(g)
-            else:
-                res = plebanski_curvilinear(g, gamma_field.metric_at(point))
-        except (NonLorentzian, ZeroG00, NonPositiveIndex) as exc:
-            return base + [math.nan] * 21 + [type(exc).__name__], None
-        m = res.material
-        row = (
-            base
-            + [float(v) for v in m.eps.ravel()]
-            + [float(v) for v in m.mu.ravel()]
-            + [float(v) for v in m.w]
-            + ["negative_g00" if res.negative_g00 else "ok"]
-        )
-        return row, res
-
-    outputs = parallel_map(one, cfg.grid.points())
-    rows = [row for row, _ in outputs]
-    results = [res for _, res in outputs if res is not None]
-
-    flagged: dict[str, int] = {}
-    for row, res in outputs:
-        if res is None:
-            flagged[row[-1]] = flagged.get(row[-1], 0) + 1
-
-    eig_min = math.inf
-    eig_max = -math.inf
-    anisotropy = 0.0
-    indefinite = 0
-    for res in results:
-        eig = np.linalg.eigvalsh(res.material.eps)
-        eig_min = min(eig_min, float(eig[0]))
-        eig_max = max(eig_max, float(eig[-1]))
-        if eig[0] > 0.0:
-            anisotropy = max(anisotropy, float(eig[-1] / eig[0]))
-        else:
-            indefinite += 1
+    valid = flags == "ok"
+    negative = valid & (g[:, 0, 0] < 0.0)
+    eig = np.linalg.eigvalsh(eps[valid])
+    lo, hi = eig[:, 0], eig[:, -1]
+    positive = lo > 0.0
+    ratio = hi[positive] / lo[positive]
+    flagged = Counter(flags[~valid])
+    flags[negative] = "negative_g00"
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "materials.csv", GEOMETRIZE_HEADER, rows)
+    columns = np.column_stack([points, eps.reshape(-1, 9), eps.reshape(-1, 9), w, flags])
+    _write_csv(cfg.out_dir / "materials.csv", GEOMETRIZE_HEADER, columns)
     summary = {
-        "points": len(rows),
-        "valid_points": len(results),
+        "points": len(points),
+        "valid_points": len(eig),
         "flagged": flagged,
-        "negative_g00_points": sum(1 for r in results if r.negative_g00),
-        "indefinite_eps_points": indefinite,
-        "eps_eigenvalue_min": None if not results else eig_min,
-        "eps_eigenvalue_max": None if not results else eig_max,
-        "max_anisotropy_ratio": None if not results else anisotropy,
+        "negative_g00_points": int(negative.sum()),
+        "indefinite_eps_points": int((~positive).sum()),
+        "eps_eigenvalue_min": float(lo.min()) if len(eig) else None,
+        "eps_eigenvalue_max": float(hi.max()) if len(eig) else None,
+        "max_anisotropy_ratio": float(np.max(ratio, initial=0.0)) if len(eig) else None,
     }
     (cfg.out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"geometrize: wrote {len(rows)} points to {cfg.out_dir / 'materials.csv'}")
+    print(f"geometrize: wrote {len(points)} points to {cfg.out_dir / 'materials.csv'}")
     return 0
 
 
@@ -380,20 +369,13 @@ def cmd_inverse(cfg: SceneConfig) -> int:
     """Lift an isotropic index profile to metric samples; write metric.csv."""
     _require(cfg.grid is not None, "grid: required in inverse mode")
     entry = _medium_entry(cfg.medium, "medium")
-
-    def one(point: np.ndarray):
-        base = [float(point[0]), float(point[1]), float(point[2])]
-        try:
-            g = isotropic_metric_from_index(entry.index_at(point)).matrix
-        except NonPositiveIndex:
-            return base + [math.nan] * 10 + ["NonPositiveIndex"]
-        comps = [g[a, b] for a in range(4) for b in range(a, 4)]
-        return base + comps + ["ok"]
-
-    rows = parallel_map(one, cfg.grid.points())
+    points = cfg.grid.points()
+    g, flags = _sample(lambda p: isotropic_metric_from_index(entry.index_at(p)), points)
+    rows, cols = np.triu_indices(4)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out_dir / "metric.csv", METRIC_HEADER, rows)
-    print(f"inverse: wrote {len(rows)} points to {cfg.out_dir / 'metric.csv'}")
+    columns = np.column_stack([points, g[:, rows, cols], flags])
+    _write_csv(cfg.out_dir / "metric.csv", METRIC_HEADER, columns)
+    print(f"inverse: wrote {len(points)} points to {cfg.out_dir / 'metric.csv'}")
     return 0
 
 
@@ -429,7 +411,7 @@ def _write_svg(path: Path, trajectories, entry, grid: GridSpec | None) -> None:
         wx = max(float(xs.max()) - x0 + 0.1, 1e-9)
         wy = max(float(ys.max()) - y0 + 0.1, 1e-9)
 
-    def view(x: float, y: float) -> tuple[float, float]:
+    def view(x, y):  # floats or arrays
         return (x - x0) / wx * 800.0, 800.0 - (y - y0) / wy * 800.0
 
     parts = [
@@ -444,14 +426,12 @@ def _write_svg(path: Path, trajectories, entry, grid: GridSpec | None) -> None:
             rx = r / wx * 800.0
             ry = r / wy * 800.0
             parts.append(
-                f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" '
-                f'ry="{_fmt(ry)}" fill="none" stroke="#c8c8c8" stroke-width="1"/>'
+                f'<ellipse cx="{cx:.17g}" cy="{cy:.17g}" rx="{rx:.17g}" '
+                f'ry="{ry:.17g}" fill="none" stroke="#c8c8c8" stroke-width="1"/>'
             )
     for i, tr in enumerate(trajectories):
-        pts = " ".join(
-            "{},{}".format(_fmt(px), _fmt(py))
-            for px, py in (view(float(x), float(y)) for x, y in zip(tr.x[:, 1], tr.x[:, 2]))
-        )
+        px, py = view(tr.x[:, 1], tr.x[:, 2])
+        pts = " ".join(f"{a:.17g},{b:.17g}" for a, b in zip(px.tolist(), py.tolist()))
         stroke = _STROKES[i % len(_STROKES)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1"/>'
@@ -497,18 +477,10 @@ def cmd_trace(cfg: SceneConfig) -> int:
         status = "exited domain" if outcome.exited_domain else "completed"
         print(
             f"ray {i}: {status} after {len(outcome) - 1} steps, "
-            f"max |H| = {_fmt(outcome.max_null_drift)}"
+            f"max |H| = {outcome.max_null_drift:.17g}"
         )
-        rows = [
-            [
-                float(outcome.lam[j]),
-                *(float(v) for v in outcome.x[j]),
-                *(float(v) for v in outcome.k[j]),
-                float(outcome.hamiltonians[j]),
-            ]
-            for j in range(len(outcome))
-        ]
-        _write_csv(cfg.out_dir / f"ray_{i:03d}.csv", RAY_HEADER, rows)
+        columns = np.column_stack([outcome.lam, outcome.x, outcome.k, outcome.hamiltonians])
+        _write_csv(cfg.out_dir / f"ray_{i:03d}.csv", RAY_HEADER, columns)
 
     _write_svg(cfg.out_dir / "rays.svg", trajectories, entry, cfg.grid)
     print(f"trace: wrote {len(trajectories)} rays to {cfg.out_dir}")

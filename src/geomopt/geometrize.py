@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .constitutive import MaterialTensors
-from .errors import NonPositiveIndex, UnitIndexSingularity, ZeroG00
+from .errors import NonLorentzian, NonPositiveIndex, SingularMetric, UnitIndexSingularity, ZeroG00
 from .tensors import (
     FieldTensor,
     Metric4,
     MINKOWSKI,
     TensorKind,
     Variance,
+    _max_abs,
+    _singular,
     metric_inverse,
+    sqrt_minus,
     sqrt_minus_det,
 )
 
@@ -35,6 +39,7 @@ __all__ = [
     "MetricField",
     "plebanski_cartesian",
     "plebanski_curvilinear",
+    "plebanski_stack",
     "geometrized_constitutive",
     "fourdim_constitutive",
     "isotropic_metric_from_index",
@@ -62,28 +67,60 @@ class GeometrizationResult:
     negative_g00: bool
 
 
+def _zero_g00(m: np.ndarray) -> np.ndarray:
+    """Where |g_00| < 1e-12 max|g|, for one metric or a stack."""
+    return np.abs(m[..., 0, 0]) < 1e-12 * _max_abs(m)
+
+
 def _check_g00(g: Metric4) -> float:
-    g00 = float(g.matrix[0, 0])
-    scale = max(float(np.abs(g.matrix).max()), np.finfo(float).tiny)
-    if abs(g00) < 1e-12 * scale:
+    if _zero_g00(g.matrix):
         raise ZeroG00("geometrization needs g_00 != 0")
-    return g00
+    return float(g.matrix[0, 0])
+
+
+def plebanski_stack(g: np.ndarray, sqrt_minus_gamma: np.ndarray):
+    """The Plebanski map over stacked metrics g (N, 4, 4) and sqrt(-gamma) (N,).
+
+    Returns eps = mu (N, 3, 3), w (N, 3), det g (N,) and a flag per point:
+    ``ok`` or the error the scalar map raises, first match in the order
+    NonLorentzian (NaN sqrt(-gamma) or det g >= 0), ZeroG00, SingularMetric.
+    eps and w are NaN at flagged points.
+    """
+    det = np.linalg.det(g)
+    s = sqrt_minus(det)
+    flags = np.full(len(det), "ok", dtype=object)
+    # Checks in reverse raise order: an error the scalar map raises first overwrites.
+    flags[_singular(g, det)] = SingularMetric.__name__
+    flags[_zero_g00(g)] = ZeroG00.__name__
+    flags[np.isnan(sqrt_minus_gamma) | np.isnan(s)] = NonLorentzian.__name__
+    ok = flags == "ok"
+    g = g[ok]
+    inv = np.linalg.inv(g)[:, 1:, 1:]
+    eps = np.full((len(ok), 3, 3), np.nan)
+    w = np.full((len(ok), 3), np.nan)
+    factor = -s[ok] / (sqrt_minus_gamma[ok] * g[:, 0, 0])
+    eps[ok] = factor[:, None, None] * (0.5 * (inv + inv.transpose(0, 2, 1))) + 0.0  # -0.0 -> +0.0
+    w[ok] = g[:, 1:, 0] / g[:, :1, 0] + 0.0
+    return eps, w, det, flags
+
+
+# The exception the scalar map raises for each kernel flag, and its message.
+_FAILURES = {
+    "NonLorentzian": (NonLorentzian, "metric determinant must be negative, got {det}"),
+    "ZeroG00": (ZeroG00, "geometrization needs g_00 != 0"),
+    "SingularMetric": (SingularMetric, "metric determinant {det} below tolerance"),
+}
 
 
 def _plebanski(g: Metric4, sqrt_minus_gamma: float) -> GeometrizationResult:
-    s = sqrt_minus_det(g)
-    g00 = _check_g00(g)
-    ginv = metric_inverse(g).matrix
-    eps = (-s / (sqrt_minus_gamma * g00)) * ginv[1:, 1:] + 0.0  # -0.0 -> +0.0
-    w = g.matrix[1:, 0] / g00 + 0.0
-    material = MaterialTensors(eps=eps, mu=eps, w=w)
-    return GeometrizationResult(
-        material=material,
-        sqrt_minus_g=s,
-        sqrt_minus_gamma=sqrt_minus_gamma,
-        g00=g00,
-        negative_g00=g00 < 0.0,
-    )
+    eps, w, det, flags = plebanski_stack(g.matrix[None], np.array([sqrt_minus_gamma]))
+    if flags[0] != "ok":
+        error, message = _FAILURES[flags[0]]
+        raise error(message.format(det=float(det[0])))
+    g00 = float(g.matrix[0, 0])
+    material = MaterialTensors(eps=eps[0], mu=eps[0], w=w[0])
+    s = float(sqrt_minus(det[0]))
+    return GeometrizationResult(material, s, sqrt_minus_gamma, g00, g00 < 0.0)
 
 
 def plebanski_cartesian(g: Metric4) -> GeometrizationResult:
@@ -155,12 +192,9 @@ class MetricField:
 
     @classmethod
     def constant(cls, g: Metric4, name: str | None = None) -> "MetricField":
-        ginv = metric_inverse(g).matrix
-        return cls(
-            evaluate=lambda p, _g=g: _g,
-            name=name,
-            inverse_evaluate=lambda p, _m=ginv: _m,
-        )
+        # Inverted on first use, so a singular constant metric fails only where inverted.
+        inverse = cache(lambda: metric_inverse(g).matrix)
+        return cls(evaluate=lambda p, _g=g: _g, name=name, inverse_evaluate=lambda p: inverse())
 
 
 def index_profile_field(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,12 +157,28 @@ def levi_civita4() -> np.ndarray:
     return _frozen(sym)
 
 
+def sqrt_minus(det) -> np.ndarray:
+    """sqrt(-det) of one metric determinant or a stack; NaN where det >= 0 (not Lorentzian)."""
+    return np.sqrt(np.where(det < 0.0, -det, np.nan))
+
+
 def sqrt_minus_det(g: Metric4) -> float:
     """sqrt(-det g) for a Lorentzian metric; raises NonLorentzian if det g >= 0."""
     det = np.linalg.det(g.matrix)
-    if det >= 0.0:
+    s = float(sqrt_minus(det))
+    if math.isnan(s):
         raise NonLorentzian(f"metric determinant must be negative, got {det}")
-    return float(np.sqrt(-det))
+    return s
+
+
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    """max|g| of one metric or of each in a stack, floored at the smallest normal float."""
+    return np.abs(m).max(axis=(-2, -1), initial=np.finfo(float).tiny)
+
+
+def _singular(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Where |det g| < SINGULAR_METRIC_TOL * max|g|^4, for one metric or a stack."""
+    return np.abs(det) < SINGULAR_METRIC_TOL * _max_abs(m) ** 4
 
 
 def metric_inverse(g: Metric4) -> Metric4:
@@ -171,8 +188,7 @@ def metric_inverse(g: Metric4) -> Metric4:
     """
     m = g.matrix
     det = float(np.linalg.det(m))
-    scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
-    if abs(det) < SINGULAR_METRIC_TOL * scale**4:
+    if _singular(m, det):
         raise SingularMetric(f"metric determinant {det} below tolerance")
     inv = np.linalg.inv(m)
     return Metric4(0.5 * (inv + inv.T))

@@ -24,6 +24,7 @@ def read_rows(path):
 
 
 ETA = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+SINGULAR = [[1, 0, 0, 0], [0, -1e-5, 0, 0], [0, 0, -1e-5, 0], [0, 0, 0, -1e-5]]  # det -1e-15
 ALONG_X = [{"direction": [1, 0, 0]}]
 
 
@@ -155,6 +156,32 @@ class TestGeometrizeCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["flagged"] == {"NonLorentzian": 1}
         assert summary["eps_eigenvalue_min"] is None
+
+    def test_singular_metric_rows_flagged_not_fatal(self, tmp_path):
+        out = tmp_path / "out"
+        grid = '{"origin": [0, 0, 0], "extents": [200, 0, 0], "resolution": [5, 1, 1]}'
+        assert run(["geometrize", "--metric", "fisheye", "--grid", grid, "--out-dir", out]) == 0
+        header, rows = read_rows(out / "materials.csv")
+        assert [row[-1] for row in rows] == ["ok"] + ["SingularMetric"] * 4
+        assert all(value == "nan" for row in rows[1:] for value in row[3:-1])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flagged"] == {"SingularMetric": 4}
+        assert summary["valid_points"] == 1
+
+    def test_singular_constant_metric_rows_flagged(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "geometrize",
+                "metric": {"matrix": SINGULAR},
+                "grid": {"resolution": [2, 1, 1]},
+                "out_dir": str(out),
+            },
+        )
+        assert run(["--config", cfg]) == 0
+        header, rows = read_rows(out / "materials.csv")
+        assert [row[-1] for row in rows] == ["SingularMetric"] * 2
 
     def test_curvilinear_vacuum(self, tmp_path):
         out = tmp_path / "out"
@@ -328,6 +355,39 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and where in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"rays": {"launches": ALONG_X, "project_null": "false"}}, "rays.project_null"),
+            ({"rays": {"launches": ALONG_X, "project_null": 0}}, "rays.project_null"),
+            ({"rays": {"launches": ALONG_X, "steps": 3.9}}, "rays:"),
+            ({"rays": {"launches": ALONG_X, "steps": True}}, "rays:"),
+            ({"grid": {"resolution": [2.9, 1, 1]}}, "resolution"),
+            ({"grid": {"resolution": [2, False, 1]}}, "resolution"),
+            ({"seed": 3.5}, "seed:"),
+            ({"seed": True}, "seed:"),
+        ],
+    )
+    def test_non_whole_or_non_boolean_input_is_config_error(
+        self, tmp_path, capsys, overrides, where
+    ):
+        cfg = self.trace_config(tmp_path, **overrides)
+        assert run(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_float_counts_are_accepted(self, tmp_path):
+        cfg = self.trace_config(
+            tmp_path,
+            seed=7.0,
+            grid={"origin": [-1, -1, 0], "extents": [2, 2, 0], "resolution": [2.0, 2, 1]},
+            rays={"launches": [{"origin": [-0.9, 0, 0], **ALONG_X[0]}], "steps": 3.0},
+        )
+        assert run(["--config", cfg]) == 0
+        header, rows = read_rows(tmp_path / "out" / "ray_000.csv")
+        assert len(rows) == 4
 
     @pytest.mark.parametrize(
         "medium, param",

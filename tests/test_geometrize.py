@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 from geomopt import (
     MINKOWSKI,
     Metric4,
+    MetricField,
     NonLorentzian,
     NonPositiveIndex,
+    SingularMetric,
     UnitIndexSingularity,
     ZeroG00,
     build_F_lower,
@@ -23,9 +25,12 @@ from geomopt import (
     metric_inverse,
     plebanski_cartesian,
     plebanski_curvilinear,
+    plebanski_stack,
     raise_field_tensor,
+    sqrt_minus_det,
 )
 from geomopt.sampling import random_lorentzian_metric
+from geomopt.tensors import sqrt_minus
 
 OFFSET_METRIC = np.array(
     [
@@ -176,6 +181,82 @@ class TestPlebanskiCurvilinear:
             plebanski_curvilinear(MINKOWSKI, Metric4(np.eye(4)))
 
 
+def _zero_g00_metric(g01):
+    m = np.diag([0.0, -1.0, -1.0, -1.0])
+    m[0, 1] = m[1, 0] = g01  # det = -g01^2 < 0 with g00 = 0
+    return m
+
+
+# Metrics for each outcome of the map, with the scalar map's message; where
+# two errors apply, the flag is the one raised first.
+CRAFTED = [
+    (np.diag([1.0, 1.0, -1.0, -1.0]), "NonLorentzian", "must be negative, got 1.0"),
+    (np.diag([0.0, -1.0, -1.0, -1.0]), "NonLorentzian", "must be negative"),  # det 0, g00 0
+    (_zero_g00_metric(1.0), "ZeroG00", "needs g_00 != 0"),
+    (_zero_g00_metric(1e-7), "ZeroG00", "needs g_00 != 0"),  # also singular: det -1e-14
+    (np.diag([1.0, -1e-5, -1e-5, -1e-5]), "SingularMetric", "below tolerance"),  # det -1e-15
+    (np.diag([-1.0, 1.0, -1.0, -1.0]), "ok", None),  # g00 < 0
+]
+SCALAR_ERRORS = (NonLorentzian, ZeroG00, SingularMetric)
+
+
+class TestPlebanskiStack:
+    def assert_matches_scalar(self, metrics, gammas=None):
+        """Stack every metric; compare each point with the scalar map, which
+        is plebanski_cartesian when no coordinate metrics are given."""
+        g = np.stack([m.matrix for m in metrics])
+        if gammas is None:
+            sqrt_minus_gamma = np.ones(len(metrics))
+        else:
+            sqrt_minus_gamma = sqrt_minus(np.linalg.det(np.stack([m.matrix for m in gammas])))
+        eps, w, det, flags = plebanski_stack(g, sqrt_minus_gamma)
+        for i, metric in enumerate(metrics):
+            try:
+                if gammas is None:
+                    res = plebanski_cartesian(metric)
+                else:
+                    res = plebanski_curvilinear(metric, gammas[i])
+            except SCALAR_ERRORS as exc:
+                assert flags[i] == type(exc).__name__
+                assert np.isnan(eps[i]).all() and np.isnan(w[i]).all()
+                continue
+            assert flags[i] == "ok"
+            assert np.array_equal(eps[i], res.material.eps)
+            assert np.array_equal(w[i], res.material.w)
+            assert sqrt_minus(det[i]) == res.sqrt_minus_g
+        return eps, flags
+
+    def test_cartesian_stack_matches_scalar_map(self, rng):
+        metrics = [random_lorentzian_metric(rng) for _ in range(1000)]
+        metrics += [Metric4(m) for m, _, _ in CRAFTED]
+        eps, flags = self.assert_matches_scalar(metrics)
+        assert list(flags[-len(CRAFTED):]) == [flag for _, flag, _ in CRAFTED]
+        assert list(flags[:1000]) == ["ok"] * 1000
+        # the map written out through tensors' scalar inverse and determinant
+        for i, g in enumerate(metrics[:1000]):
+            factor = -sqrt_minus_det(g) / float(g.matrix[0, 0])
+            assert np.array_equal(eps[i], factor * metric_inverse(g).matrix[1:, 1:] + 0.0)
+
+    def test_curvilinear_stack_matches_scalar_map(self, rng):
+        metrics = [random_lorentzian_metric(rng) for _ in range(200)]
+        gammas = [random_lorentzian_metric(rng) for _ in range(200)]
+        # a non-Lorentzian gamma is flagged before anything wrong with g
+        metrics += [Metric4(m) for m, _, _ in CRAFTED]
+        gammas += [Metric4(np.eye(4))] * len(CRAFTED)
+        _, flags = self.assert_matches_scalar(metrics, gammas)
+        assert set(flags[-len(CRAFTED):]) == {"NonLorentzian"}
+
+    def test_scalar_raises_each_flag(self):
+        for m, flag, reason in CRAFTED[:-1]:
+            with pytest.raises(SCALAR_ERRORS, match=reason) as info:
+                plebanski_cartesian(Metric4(m))
+            assert type(info.value).__name__ == flag
+
+    def test_non_lorentzian_gamma_message(self):
+        with pytest.raises(NonLorentzian, match="must be negative, got 1.0"):
+            plebanski_curvilinear(MINKOWSKI, Metric4(np.eye(4)))
+
+
 class TestGeometrizedConstitutive:
     def test_reduces_without_coupling(self, rng):
         res = plebanski_cartesian(Metric4(np.diag([1.0, -4.0, -1.0, -1.0])))
@@ -298,3 +379,17 @@ class TestMetricIdentity:
 def test_unknown_coordinate_system():
     with pytest.raises(ValueError, match="unknown coordinate system"):
         coordinate_field("toroidal")
+
+
+class TestConstantMetricField:
+    def test_inverse_computed_once_on_first_use(self):
+        field = MetricField.constant(Metric4(OFFSET_METRIC))
+        first = field.inverse_at([0.0, 0.0, 0.0])
+        assert field.inverse_at([1.0, 2.0, 3.0]) is first
+        assert np.array_equal(first, metric_inverse(Metric4(OFFSET_METRIC)).matrix)
+
+    def test_singular_metric_fails_only_when_inverted(self):
+        field = MetricField.constant(Metric4(np.diag([1.0, -1e-5, -1e-5, -1e-5])))
+        assert field.metric_at([0.0, 0.0, 0.0]).matrix[0, 0] == 1.0
+        with pytest.raises(SingularMetric, match="below tolerance"):
+            field.inverse_at([0.0, 0.0, 0.0])

@@ -43,6 +43,13 @@ SCENES = {
         "metric": {"matrix": [[0, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]},
         "grid": {"origin": [0, 0, 0], "extents": [1, 1, 0], "resolution": [3, 2, 1]},
     },
+    # n(r) = 2 / (1 + r^2) lifts to det g = -n^6 below tolerance for r >= 50:
+    # those rows are flagged SingularMetric.
+    "geometrize_fisheye_singular": {
+        "mode": "geometrize",
+        "metric": {"index": {"name": "fisheye"}},
+        "grid": {"origin": [0, 0, 0], "extents": [200, 0, 0], "resolution": [5, 1, 1]},
+    },
     "inverse_fisheye": {
         "mode": "inverse",
         "medium": {"name": "fisheye"},
