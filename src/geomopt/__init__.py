@@ -25,6 +25,7 @@ from .errors import (
     GeomOptError,
     GridTooSmall,
     MisalignedVelocity,
+    NonFiniteMetric,
     NonLorentzian,
     NonNullLaunch,
     NonPositiveIndex,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GeomOptError, NonNullLaunch, NonPositiveIndex
+from .errors import ConfigError, GeomOptError, NonFiniteMetric, NonPositiveIndex
 from .geometrize import (
     MetricField,
     coordinate_field,
@@ -271,11 +271,9 @@ def _metric_field(cfg: SceneConfig, gamma_field: MetricField) -> MetricField:
         "metric: give exactly one of matrix, index, coordinate_vacuum",
     )
     if keys[0] == "matrix":
-        raw = np.asarray(spec["matrix"], dtype=float)
-        _require(raw.shape == (4, 4), f"metric.matrix: expected 4x4, got {raw.shape}")
         try:
-            g = Metric4(raw)
-        except ValueError as exc:
+            g = Metric4(np.asarray(spec["matrix"], dtype=float))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"metric.matrix: {exc}") from exc
         return MetricField.constant(g, name="constant")
     if keys[0] == "index":
@@ -309,12 +307,13 @@ def _write_csv(path: Path, header: list[str], columns: np.ndarray) -> None:
 
 
 def _sample(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked metrics over the points; NaN and a flag where the index is not positive."""
+    """Stacked metrics over the points; NaN and a flag where the index is not
+    positive or the metric is not finite."""
 
     def at(point: np.ndarray):
         try:
             return evaluate(point).matrix, "ok"
-        except NonPositiveIndex as exc:
+        except (NonPositiveIndex, NonFiniteMetric) as exc:
             return np.full((4, 4), math.nan), type(exc).__name__
 
     matrices, flags = zip(*parallel_map(at, points))
@@ -330,7 +329,9 @@ def cmd_geometrize(cfg: SceneConfig) -> int:
     if cfg.coordinates == "cartesian":
         sqrt_minus_gamma = np.ones(len(points))
     else:
-        sqrt_minus_gamma = sqrt_minus(np.linalg.det(_sample(gamma_field.metric_at, points)[0]))
+        gamma, gamma_flags = _sample(gamma_field.metric_at, points)
+        sqrt_minus_gamma = sqrt_minus(np.linalg.det(gamma))
+        flags = np.where(flags == "ok", gamma_flags, flags)
     ok = flags == "ok"
     eps = np.full((len(points), 3, 3), math.nan)
     w = np.full((len(points), 3), math.nan)
@@ -460,7 +461,7 @@ def cmd_trace(cfg: SceneConfig) -> int:
             return trace_ray(
                 field, state.x, state.k, cfg.rays.step, cfg.rays.steps, bounds=bounds
             )
-        except NonNullLaunch as exc:
+        except GeomOptError as exc:
             return exc
 
     outcomes = parallel_map(one, cfg.rays.launches)
@@ -469,9 +470,9 @@ def cmd_trace(cfg: SceneConfig) -> int:
     failures = 0
     trajectories = []
     for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, NonNullLaunch):
+        if isinstance(outcome, GeomOptError):
             failures += 1
-            print(f"ray {i}: NonNullLaunch: {outcome}")
+            print(f"ray {i}: {type(outcome).__name__}: {outcome}")
             continue
         trajectories.append(outcome)
         status = "exited domain" if outcome.exited_domain else "completed"

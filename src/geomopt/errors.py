@@ -9,6 +9,7 @@ signature, invalid media, bad launch conditions, malformed configs).
 __all__ = [
     "GeomOptError",
     "SingularMetric",
+    "NonFiniteMetric",
     "NonLorentzian",
     "ZeroG00",
     "VarianceMismatch",
@@ -33,6 +34,10 @@ class GeomOptError(ValueError):
 
 class SingularMetric(GeomOptError):
     """Metric determinant is below the invertibility tolerance."""
+
+
+class NonFiniteMetric(GeomOptError):
+    """A metric entry is infinite or NaN, for instance where a coordinate metric overflows."""
 
 
 class NonLorentzian(GeomOptError):

@@ -174,12 +174,15 @@ class MetricField:
 
     ``inverse_evaluate`` is an optional fast path returning the 4x4 inverse
     matrix directly; when absent the inverse is computed numerically.
+    ``interface``, when given, is negative on one side of the one surface
+    where the metric's gradient jumps; the ray tracer splits steps there.
     Evaluators must be pure functions of the point.
     """
 
     evaluate: Callable[[np.ndarray], Metric4]
     name: str | None = None
     inverse_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
+    interface: Callable[[np.ndarray], float] | None = None
 
     def metric_at(self, point) -> Metric4:
         return self.evaluate(np.asarray(point, dtype=float))
@@ -198,7 +201,9 @@ class MetricField:
 
 
 def index_profile_field(
-    profile: Callable[[np.ndarray], float], name: str | None = None
+    profile: Callable[[np.ndarray], float],
+    name: str | None = None,
+    interface: Callable[[np.ndarray], float] | None = None,
 ) -> MetricField:
     """Pointwise lift of an isotropic index profile n(x, y, z) to a MetricField."""
 
@@ -209,13 +214,17 @@ def index_profile_field(
         n = profile(p)
         if not (np.isfinite(n) and n > 0.0):
             raise NonPositiveIndex(f"refractive index must be positive, got {n}")
-        s = -1.0 / (n * n)
+        s = -1.0 / (n * n) if n * n > 0.0 else -math.inf
+        if s == -math.inf:
+            raise NonPositiveIndex(f"refractive index {n} is too small: 1/n^2 overflows")
         out = np.zeros((4, 4))
         out[0, 0] = 1.0
         out[1, 1] = out[2, 2] = out[3, 3] = s
         return out
 
-    return MetricField(evaluate=evaluate, name=name, inverse_evaluate=inverse_evaluate)
+    return MetricField(
+        evaluate=evaluate, name=name, inverse_evaluate=inverse_evaluate, interface=interface
+    )
 
 
 def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:

@@ -41,9 +41,6 @@ __all__ = [
 
 GRAD_DELTA = 1e-6  # central-difference step of the metric gradient
 NULL_TOL = 1e-9  # launch |H|, relative to the quadratic scale
-REFINE_DRIFT_TOL = 1e-11  # per-step jump in H, relative, that triggers refinement
-MAX_REFINE_DEPTH = 26
-REFINE_BUDGET = 20000  # RK4 steps one refined step may spend
 
 
 @dataclass(frozen=True)
@@ -148,20 +145,23 @@ def trace_ray(
     project: bool = False,
     bounds: Sequence[tuple[float, float]] | None = None,
 ) -> RayTrajectory:
-    """Integrate a null ray for ``n_steps`` fixed steps of size ``step``.
+    """Integrate a null ray for ``n_steps`` fixed RK4 steps of size ``step``.
 
     ``bounds``, when given, is one (lo, hi) pair per spatial axis; a ray
     leaving the box returns the partial trajectory with the exit flag set.
     Launch covectors must satisfy |H| <= NULL_TOL (relative to the quadratic
     scale) unless ``project=True``, which rescales the spatial part first.
 
-    H is conserved exactly by the flow, so a per-step jump in H beyond
-    REFINE_DRIFT_TOL (relative) flags a medium discontinuity inside the
-    step (a lens rim, say), where a single fixed step is only first-order
-    accurate.  Such a step is deterministically re-integrated by recursive
-    bisection, accepting subintervals once a full step and two half steps
-    agree; smooth media never trigger this and the affine sample grid is
-    unchanged.
+    Smooth media get plain fixed steps.  A medium whose gradient jumps
+    across a surface declares it as ``field.interface``, negative inside.
+    A step whose ends lie on different sides is split where it meets the
+    surface: bisection on theta in ``rk4(x, k, theta * step)``, down to
+    adjacent doubles, finds the crossing, and the two parts are integrated
+    separately, so the affine sample grid is unchanged.  Those parts, and a
+    step whose start or end stencil touches the surface, are taken with
+    their end point's side: along an axis whose difference stencil straddles
+    the surface, the gradient is a one-sided difference on that side.  The
+    metric is continuous across the surface; only its gradient jumps.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -183,45 +183,44 @@ def trace_ray(
             "pass project=True to project onto the null shell"
         )
 
-    def rhs(xc: np.ndarray, kc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gi = field.inverse_at(xc[1:])
-        dx = gi @ kc
-        dk = np.zeros(4)
-        for i in (1, 2, 3):
-            plus = xc[1:].copy()
-            minus = xc[1:].copy()
-            plus[i - 1] += GRAD_DELTA
-            minus[i - 1] -= GRAD_DELTA
-            hp = float(kc @ field.inverse_at(plus) @ kc)
-            hm = float(kc @ field.inverse_at(minus) @ kc)
-            dk[i] = -(hp - hm) / (4.0 * GRAD_DELTA)
-        return dx, dk
+    def inside(p: np.ndarray) -> bool:
+        return field.interface(p) < 0.0
 
-    def rk4(xc, kc, width):
-        dx1, dk1 = rhs(xc, kc)
-        dx2, dk2 = rhs(xc + 0.5 * width * dx1, kc + 0.5 * width * dk1)
-        dx3, dk3 = rhs(xc + 0.5 * width * dx2, kc + 0.5 * width * dk2)
-        dx4, dk4 = rhs(xc + width * dx3, kc + width * dk3)
+    stencil = GRAD_DELTA * np.concatenate([np.eye(3), -np.eye(3)])
+
+    def where(p: np.ndarray) -> tuple[bool, bool]:
+        """p's side of the surface, and whether p's difference stencil reaches across it."""
+        here = inside(p)
+        return here, any(inside(q) != here for q in p + stencil)
+
+    def rhs(xc: np.ndarray, kc: np.ndarray, side: bool | None) -> tuple[np.ndarray, np.ndarray]:
+        """dx/dlam and dk/dlam; with ``side`` given, straddling stencils go one-sided."""
+        p = xc[1:]
+        gi = field.inverse_at(p)
+        dk = np.zeros(4)
+
+        def quad(q: np.ndarray) -> float:
+            return float(kc @ field.inverse_at(q) @ kc)
+
+        for i in range(3):
+            plus, minus = p + stencil[i], p + stencil[i + 3]
+            if side is not None and inside(plus) != inside(minus):
+                # Second order, one-sided towards the stencil point on ``side``.
+                e = stencil[i] if inside(plus) == side else stencil[i + 3]
+                hc = float(kc @ gi @ kc)
+                dk[i + 1] = -(4.0 * quad(p + e) - 3.0 * hc - quad(p + 2.0 * e)) / (4.0 * e[i])
+            else:
+                dk[i + 1] = -(quad(plus) - quad(minus)) / (4.0 * GRAD_DELTA)
+        return gi @ kc, dk
+
+    def rk4(xc, kc, width, side):
+        dx1, dk1 = rhs(xc, kc, side)
+        dx2, dk2 = rhs(xc + 0.5 * width * dx1, kc + 0.5 * width * dk1, side)
+        dx3, dk3 = rhs(xc + 0.5 * width * dx2, kc + 0.5 * width * dk2, side)
+        dx4, dk4 = rhs(xc + width * dx3, kc + width * dk3, side)
         xn = xc + (width / 6.0) * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
         kn = kc + (width / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
         return xn, kn
-
-    budget = [REFINE_BUDGET]
-
-    def refine(xc, kc, width, depth):
-        xa, ka = rk4(xc, kc, 0.5 * width)
-        xb, kb = rk4(xa, ka, 0.5 * width)
-        budget[0] -= 3
-        if depth < MAX_REFINE_DEPTH and budget[0] > 0:
-            x_full, k_full = rk4(xc, kc, width)
-            mismatch = max(
-                float(np.abs(x_full - xb).max()), float(np.abs(k_full - kb).max())
-            )
-            node_scale = max(1.0, float(np.abs(kc).max()), float(np.abs(xc).max()))
-            if mismatch > 1e-12 * node_scale:
-                xa, ka = refine(xc, kc, 0.5 * width, depth + 1)
-                return refine(xa, ka, 0.5 * width, depth + 1)
-        return xb, kb
 
     lam = np.empty(n_steps + 1)
     xs = np.empty((n_steps + 1, 4))
@@ -229,22 +228,32 @@ def trace_ray(
     hs = np.empty(n_steps + 1)
     lam[0], xs[0], ks[0], hs[0] = 0.0, x, k, h0
 
+    side, near = (None, False) if field.interface is None else where(x[1:])
     exited = False
     count = 0
-    h_now = h0
     for istep in range(n_steps):
-        x_new, k_new = rk4(x, k, step)
-        h_new = hamiltonian(field.inverse_at(x_new[1:]), k_new)
-        if abs(h_new - h_now) > REFINE_DRIFT_TOL * scale:
-            budget[0] = REFINE_BUDGET
-            x_new, k_new = refine(x, k, step, 0)
-            h_new = hamiltonian(field.inverse_at(x_new[1:]), k_new)
-        x, k, h_now = x_new, k_new, h_new
+        x_new, k_new = rk4(x, k, step, side if near else None)
+        if side is not None:
+            end_side, end_near = where(x_new[1:])
+            if end_side != side:
+                lo, hi, x_lo, k_lo = 0.0, 1.0, x, k
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    xm, km = rk4(x, k, mid * step, side)
+                    if inside(xm[1:]) == side:
+                        lo, x_lo, k_lo = mid, xm, km
+                    else:
+                        hi = mid
+                x_new, k_new = rk4(x_lo, k_lo, (1.0 - lo) * step, end_side)
+                end_side, end_near = where(x_new[1:])
+            elif end_near and not near:
+                x_new, k_new = rk4(x, k, step, side)
+            side, near = end_side, end_near
+        x, k = x_new, k_new
         count = istep + 1
         lam[count] = count * step
         xs[count] = x
         ks[count] = k
-        hs[count] = h_now
+        hs[count] = hamiltonian(field.inverse_at(x[1:]), k)
         if bounds is not None and not _in_bounds(x[1:], bounds):
             exited = True
             break
@@ -263,12 +272,13 @@ class MediumCatalogEntry:
     name: str
     index: Callable[[np.ndarray], float]
     domain: str
+    interface: Callable[[np.ndarray], float] | None = None  # where the gradient jumps
 
     def index_at(self, point) -> float:
         return float(self.index(np.asarray(point, dtype=float)))
 
     def metric_field(self) -> MetricField:
-        return index_profile_field(self.index, name=self.name)
+        return index_profile_field(self.index, name=self.name, interface=self.interface)
 
 
 def maxwell_fisheye() -> MediumCatalogEntry:
@@ -289,7 +299,8 @@ def luneburg_lens() -> MediumCatalogEntry:
         return math.sqrt(2.0 - r2) if r2 <= 1.0 else 1.0
 
     return MediumCatalogEntry(
-        name="luneburg", index=index, domain="all space (lens inside r <= 1)"
+        name="luneburg", index=index, domain="all space (lens inside r <= 1)",
+        interface=lambda p: float(p @ p) - 1.0,
     )
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonLorentzian, SingularMetric, VarianceMismatch
+from .errors import NonFiniteMetric, NonLorentzian, SingularMetric, VarianceMismatch
 
 __all__ = [
     "Variance",
@@ -93,7 +93,7 @@ class Metric4:
         if m.shape != (4, 4):
             raise ValueError(f"metric must be 4x4, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("metric entries must be finite")
+            raise NonFiniteMetric("metric entries must be finite")
         scale = max(float(np.abs(m).max()), 1.0)
         if float(np.abs(m - m.T).max()) > 1e-12 * scale:
             raise ValueError("metric must be symmetric")

@@ -73,6 +73,31 @@ class TestConfigValidation:
         assert run(["--config", cfg]) == 2
         assert "metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 0, 0, "x"], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],  # non-numeric
+            [[1, 0, 0, 0], [0, -1, 0], [0, 0, -1, 0], [0, 0, 0, -1]],  # ragged
+            [[1, 0, 0], [0, -1, 0], [0, 0, -1]],  # 3x3
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, {}], [0, 0, 0, -1]],  # an object
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, None]],  # null reads NaN
+            "eta",
+        ],
+    )
+    def test_bad_metric_matrix_is_config_error(self, tmp_path, capsys, matrix):
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "geometrize",
+                "metric": {"matrix": matrix},
+                "grid": {"resolution": [1, 1, 1]},
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        assert run(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: metric.matrix: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestGeometrizeCommand:
     def test_flat_metric_rows(self, tmp_path):
@@ -182,6 +207,30 @@ class TestGeometrizeCommand:
         assert run(["--config", cfg]) == 0
         header, rows = read_rows(out / "materials.csv")
         assert [row[-1] for row in rows] == ["SingularMetric"] * 2
+
+    @pytest.mark.parametrize(
+        "metric", [{"coordinate_vacuum": True}, {"index": {"name": "luneburg"}}]
+    )
+    def test_overflowing_coordinate_metric_rows_flagged(self, tmp_path, metric):
+        # r = 1e200 squares to inf in the spherical coordinate metric.
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "geometrize",
+                "coordinates": "spherical",
+                "metric": metric,
+                "grid": {
+                    "origin": [0.5, 0.3, 0.0], "extents": [1e200, 1, 0], "resolution": [2, 2, 1]
+                },
+                "out_dir": str(out),
+            },
+        )
+        assert run(["--config", cfg]) == 0
+        header, rows = read_rows(out / "materials.csv")
+        assert [row[-1] for row in rows] == ["ok", "ok", "NonFiniteMetric", "NonFiniteMetric"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flagged"] == {"NonFiniteMetric": 2}
 
     def test_curvilinear_vacuum(self, tmp_path):
         out = tmp_path / "out"
@@ -325,6 +374,35 @@ class TestTraceCommand:
         )
         assert run(["--config", cfg]) == 1
         assert "NonNullLaunch" in capsys.readouterr().out
+
+    def test_failing_rays_do_not_abort_the_fan(self, tmp_path, capsys):
+        # Ray 1 runs out along a diameter of the fish-eye until n^2 underflows;
+        # ray 2 starts where it already does.
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "trace",
+                "medium": {"name": "fisheye"},
+                "rays": {
+                    "launches": [
+                        {"origin": [0.5, 0, 0], "direction": [0, 1, 0]},
+                        {"origin": [0, 0, 0], "direction": [0, 0, 1]},
+                        {"origin": [1e20, 0, 0], "direction": [1, 0, 0]},
+                    ],
+                    "step": 4e-3,
+                    "steps": 1500,
+                },
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        assert run(["--config", cfg]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ray 0: completed after 1500 steps")
+        assert lines[1].startswith("ray 1: NonPositiveIndex: ")
+        assert lines[2].startswith("ray 2: NonPositiveIndex: ")
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["ray_000.csv", "rays.svg"]
+        assert (out / "rays.svg").read_text().count("<polyline") == 1
 
     def test_zero_direction_is_config_error(self, tmp_path, capsys):
         cfg = self.trace_config(

@@ -333,6 +333,11 @@ class TestIndexLift:
         with pytest.raises(NonPositiveIndex):
             isotropic_metric_from_index(-2.0)
 
+    @pytest.mark.parametrize("n", [1e-160, 1e-200])  # 1/n^2 overflows; n^2 underflows
+    def test_profile_field_rejects_vanishing_index(self, n):
+        with pytest.raises(NonPositiveIndex, match="too small"):
+            index_profile_field(lambda p: n).inverse_at([0.0, 0.0, 0.0])
+
     def test_profile_field_lift(self):
         field = index_profile_field(lambda p: 2.0 / (1.0 + float(p @ p)), name="n")
         g0 = field.metric_at([0.0, 0.0, 0.0])

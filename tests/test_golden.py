@@ -55,7 +55,7 @@ SCENES = {
         "medium": {"name": "fisheye"},
         "grid": {"origin": [-1, -1, -1], "extents": [2, 2, 2], "resolution": [6, 6, 4]},
     },
-    # Crosses the lens rim, so the step refiner runs.
+    # Crosses the lens rim, so steps are split at the declared interface.
     "trace_luneburg_fan": {
         "mode": "trace",
         "medium": {"name": "luneburg"},
@@ -67,6 +67,25 @@ SCENES = {
             ],
             "step": 4e-3,
             "steps": 700,
+        },
+    },
+    # Smooth media declare no interface: every step is one plain RK4 step.
+    "trace_smooth_fisheye": {
+        "mode": "trace",
+        "medium": {"name": "fisheye"},
+        "rays": {
+            "launches": [{"origin": [0.5, 0.0, 0.0], "direction": [0.0, 1.0, 0.0]}],
+            "step": 4e-3,
+            "steps": 1500,
+        },
+    },
+    "trace_smooth_homogeneous": {
+        "mode": "trace",
+        "medium": {"name": "homogeneous", "n": 1.5},
+        "rays": {
+            "launches": [{"origin": [0.0, 0.0, 0.0], "direction": [1.0, 0.5, 0.0]}],
+            "step": 4e-3,
+            "steps": 1500,
         },
     },
     "verify_seed_1729": {"mode": "verify", "seed": 1729},

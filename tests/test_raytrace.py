@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,60 @@ class TestLuneburg:
         miss = np.hypot(tr.x[:, 1] - 1.0, tr.x[:, 2]).min()
         assert miss < 1e-2
         assert tr.max_null_drift < 1e-6
+
+
+FAN_BOX = ((-2.2, 1.4), (-1.6, 1.6), (-1.0, 1.0))
+
+
+class TestRimCrossing:
+    def test_sample_on_the_rim_keeps_null_drift(self):
+        # Step 300 of this ray lands at r = 1 - 7e-14, where a central
+        # difference straddles the kink of n(r).
+        field = luneburg_lens().metric_field()
+        state = launch_state(field, [-2.0, -0.6, 0.0], [1.0, 0.0, 0.0])
+        tr = trace_ray(field, state.x, state.k, 4e-3, 700, bounds=FAN_BOX)
+        assert len(tr) == 701
+        assert tr.max_null_drift < 1e-8
+
+    def test_grazing_launch_keeps_null_drift(self):
+        field = luneburg_lens().metric_field()
+        state = launch_state(field, [-2.0, 0.99999, 0.0], [1.0, 0.0, 0.0])
+        tr = trace_ray(field, state.x, state.k, 4e-3, 1125, bounds=FAN_BOX)
+        assert np.hypot(tr.x[:, 1], tr.x[:, 2]).min() < 1.0   # actually enters the lens
+        assert tr.max_null_drift < 1e-9
+
+    def test_crossing_step_cost_is_bounded(self):
+        field = luneburg_lens().metric_field()
+        calls = []
+
+        def counted(p):
+            calls.append(1)
+            return field.inverse_evaluate(p)
+
+        state = launch_state(field, [-1.002, 0.05, 0.0], [1.0, 0.0, 0.0])
+        tr = trace_ray(
+            dataclasses.replace(field, inverse_evaluate=counted), state.x, state.k, 4e-3, 1
+        )
+        assert np.linalg.norm(tr.x[0, 1:]) > 1.0 > np.linalg.norm(tr.x[1, 1:])
+        rk4_calls = 4 * 7   # four stages, each the metric and a 6-point gradient
+        assert len(calls) < 60 * rk4_calls
+
+    def test_step_ending_next_to_the_rim_keeps_its_side(self):
+        # The step ends 1e-7 outside the rim, where n = 1 and k is constant,
+        # but its end point's x stencil reaches inside.
+        field = luneburg_lens().metric_field()
+        y = 0.05
+        x_end = -math.sqrt(1.0 - y * y) - 1e-7
+        state = launch_state(field, [x_end - 4e-3, y, 0.0], [1.0, 0.0, 0.0])
+        tr = trace_ray(field, state.x, state.k, 4e-3, 1)
+        assert 0.0 < np.linalg.norm(tr.x[1, 1:]) - 1.0 < 1e-6
+        assert np.array_equal(tr.k[1], tr.k[0])
+
+    def test_smooth_media_declare_no_interface(self):
+        assert maxwell_fisheye().metric_field().interface is None
+        assert homogeneous_medium(1.5).metric_field().interface is None
+        rim = luneburg_lens().metric_field().interface
+        assert rim(np.array([0.0, 0.5, 0.0])) < 0.0 < rim(np.array([0.0, 1.5, 0.0]))
 
 
 class TestCatalog:
