@@ -17,13 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GeomOptError, NonFiniteMetric, NonPositiveIndex
-from .geometrize import (
-    MetricField,
-    coordinate_field,
-    isotropic_metric_from_index,
-    plebanski_stack,
-)
-from .raytrace import MediumCatalogEntry, catalog_entry, launch_state, trace_ray
+from .geometrize import MetricField, coordinate_field, plebanski_stack
+from .raytrace import NULL_DRIFT_MAX, MediumCatalogEntry, catalog_entry, launch_state, trace_ray
 from .tensors import Metric4, sqrt_minus
 from .verify import DEFAULT_SEED, default_check_suite, format_check, suite_ok
 
@@ -213,7 +208,7 @@ class SceneConfig:
         for key in data:
             _require(key in known, f"{key}: unknown config key")
         mode = mode or data.get("mode")
-        _require(mode is not None, "mode: required (flag, subcommand or config key)")
+        _require(mode is not None, "mode: required (subcommand or config key)")
         _require(mode in MODES, f"mode: must be one of {', '.join(MODES)}, got {mode!r}")
         coordinates = data.get("coordinates", "cartesian")
         _require(
@@ -275,7 +270,7 @@ def _metric_field(cfg: SceneConfig, gamma_field: MetricField) -> MetricField:
             g = Metric4(np.asarray(spec["matrix"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"metric.matrix: {exc}") from exc
-        return MetricField.constant(g, name="constant")
+        return MetricField.constant(g)
     if keys[0] == "index":
         entry = _medium_entry(spec["index"], "metric.index")
         return entry.metric_field()
@@ -308,7 +303,8 @@ def _write_csv(path: Path, header: list[str], columns: np.ndarray) -> None:
 
 def _sample(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked metrics over the points; NaN and a flag where the index is not
-    positive or the metric is not finite."""
+    positive or the metric is not finite.  Overflow and invalid-value warnings are
+    silenced: such a metric is a flagged row, and p @ p = inf still gives the right n."""
 
     def at(point: np.ndarray):
         try:
@@ -316,7 +312,8 @@ def _sample(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except (NonPositiveIndex, NonFiniteMetric) as exc:
             return np.full((4, 4), math.nan), type(exc).__name__
 
-    matrices, flags = zip(*parallel_map(at, points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices, flags = zip(*parallel_map(at, points))
     return np.stack(matrices), np.array(flags, dtype=object)
 
 
@@ -330,7 +327,9 @@ def cmd_geometrize(cfg: SceneConfig) -> int:
         sqrt_minus_gamma = np.ones(len(points))
     else:
         gamma, gamma_flags = _sample(gamma_field.metric_at, points)
-        sqrt_minus_gamma = sqrt_minus(np.linalg.det(gamma))
+        sqrt_minus_gamma = np.full(len(points), math.nan)
+        sampled = gamma_flags == "ok"
+        sqrt_minus_gamma[sampled] = sqrt_minus(np.linalg.det(gamma[sampled]))
         flags = np.where(flags == "ok", gamma_flags, flags)
     ok = flags == "ok"
     eps = np.full((len(points), 3, 3), math.nan)
@@ -371,7 +370,7 @@ def cmd_inverse(cfg: SceneConfig) -> int:
     _require(cfg.grid is not None, "grid: required in inverse mode")
     entry = _medium_entry(cfg.medium, "medium")
     points = cfg.grid.points()
-    g, flags = _sample(lambda p: isotropic_metric_from_index(entry.index_at(p)), points)
+    g, flags = _sample(entry.metric_field().metric_at, points)
     rows, cols = np.triu_indices(4)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     columns = np.column_stack([points, g[:, rows, cols], flags])
@@ -442,7 +441,8 @@ def _write_svg(path: Path, trajectories, entry, grid: GridSpec | None) -> None:
 
 
 def cmd_trace(cfg: SceneConfig) -> int:
-    """Trace the configured rays; one CSV per ray plus a combined SVG."""
+    """Trace the configured rays; one CSV per ray plus a combined SVG.  Exits 1
+    when a ray fails (no CSV) or its max |H| passes NULL_DRIFT_MAX (CSV kept)."""
     _require(cfg.rays is not None, "rays: required in trace mode")
     entry = _medium_entry(cfg.medium, "medium")
     field = entry.metric_field()
@@ -476,9 +476,12 @@ def cmd_trace(cfg: SceneConfig) -> int:
             continue
         trajectories.append(outcome)
         status = "exited domain" if outcome.exited_domain else "completed"
+        drifted = outcome.max_null_drift > NULL_DRIFT_MAX
+        failures += drifted
         print(
             f"ray {i}: {status} after {len(outcome) - 1} steps, "
             f"max |H| = {outcome.max_null_drift:.17g}"
+            + (f", drifted above {NULL_DRIFT_MAX:g}" if drifted else "")
         )
         columns = np.column_stack([outcome.lam, outcome.x, outcome.k, outcome.hamiltonians])
         _write_csv(cfg.out_dir / f"ray_{i:03d}.csv", RAY_HEADER, columns)
@@ -516,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("mode", nargs="?", choices=MODES, help="command to run")
     p.add_argument("--config", type=Path, help="JSON scene configuration")
-    p.add_argument("--mode", dest="mode_flag", choices=MODES, help="mode override")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--seed", type=int, help="seed for the verify suite")
     p.add_argument("--step", type=float, help="ray integrator step")
@@ -577,7 +579,7 @@ def load_config(args: argparse.Namespace) -> SceneConfig:
     if args.medium is not None:
         data["medium"] = _parse_inline(args.medium, "medium")
 
-    return SceneConfig.from_dict(data, args.mode or args.mode_flag)
+    return SceneConfig.from_dict(data, args.mode)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     SuperluminalVelocity,
 )
-from .tensors import FieldTensor, TensorKind, Variance, levi_civita3
+from .tensors import FieldTensor, TensorKind, Variance, _frozen, levi_civita3
 
 __all__ = [
     "MaterialTensors",
@@ -38,12 +38,6 @@ __all__ = [
 
 SINGULAR_MU_TOL = 1e-12  # |det mu| floor, relative to max|mu|^3
 ALIGN_TOL = 1e-9  # largest off-axis velocity component, relative to |u|max
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _check_3x3(m, name: str) -> np.ndarray:

@@ -160,10 +160,15 @@ def fourdim_constitutive(g: Metric4, gamma: Metric4, f: FieldTensor) -> FieldTen
     return FieldTensor(out, Variance.CONTRAVARIANT, TensorKind.G)
 
 
-def isotropic_metric_from_index(n: float) -> Metric4:
-    """Metric diag(1, -n^2, -n^2, -n^2) whose effective medium is eps = mu = n I."""
+def _positive_index(n: float) -> None:
+    """Raise NonPositiveIndex unless the refractive index n is finite and positive."""
     if not (np.isfinite(n) and n > 0.0):
         raise NonPositiveIndex(f"refractive index must be positive, got {n}")
+
+
+def isotropic_metric_from_index(n: float) -> Metric4:
+    """Metric diag(1, -n^2, -n^2, -n^2) whose effective medium is eps = mu = n I."""
+    _positive_index(n)
     n2 = float(n) * float(n)
     return Metric4(np.diag([1.0, -n2, -n2, -n2]))
 
@@ -180,7 +185,6 @@ class MetricField:
     """
 
     evaluate: Callable[[np.ndarray], Metric4]
-    name: str | None = None
     inverse_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
     interface: Callable[[np.ndarray], float] | None = None
 
@@ -194,15 +198,14 @@ class MetricField:
         return metric_inverse(self.evaluate(p)).matrix
 
     @classmethod
-    def constant(cls, g: Metric4, name: str | None = None) -> "MetricField":
+    def constant(cls, g: Metric4) -> "MetricField":
         # Inverted on first use, so a singular constant metric fails only where inverted.
         inverse = cache(lambda: metric_inverse(g).matrix)
-        return cls(evaluate=lambda p, _g=g: _g, name=name, inverse_evaluate=lambda p: inverse())
+        return cls(evaluate=lambda p, _g=g: _g, inverse_evaluate=lambda p: inverse())
 
 
 def index_profile_field(
     profile: Callable[[np.ndarray], float],
-    name: str | None = None,
     interface: Callable[[np.ndarray], float] | None = None,
 ) -> MetricField:
     """Pointwise lift of an isotropic index profile n(x, y, z) to a MetricField."""
@@ -212,8 +215,7 @@ def index_profile_field(
 
     def inverse_evaluate(p: np.ndarray) -> np.ndarray:
         n = profile(p)
-        if not (np.isfinite(n) and n > 0.0):
-            raise NonPositiveIndex(f"refractive index must be positive, got {n}")
+        _positive_index(n)
         s = -1.0 / (n * n) if n * n > 0.0 else -math.inf
         if s == -math.inf:
             raise NonPositiveIndex(f"refractive index {n} is too small: 1/n^2 overflows")
@@ -222,9 +224,7 @@ def index_profile_field(
         out[1, 1] = out[2, 2] = out[3, 3] = s
         return out
 
-    return MetricField(
-        evaluate=evaluate, name=name, inverse_evaluate=inverse_evaluate, interface=interface
-    )
+    return MetricField(evaluate=evaluate, inverse_evaluate=inverse_evaluate, interface=interface)
 
 
 def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
@@ -236,8 +236,7 @@ def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
     this signature).  Raises UnitIndexSingularity when n^2 is within
     UNIT_INDEX_TOL of 1.
     """
-    if not (np.isfinite(n) and n > 0.0):
-        raise NonPositiveIndex(f"refractive index must be positive, got {n}")
+    _positive_index(n)
     denom = n * n - 1.0
     if abs(denom) <= UNIT_INDEX_TOL:
         raise UnitIndexSingularity(f"n = {n} is too close to 1")
@@ -272,9 +271,9 @@ def coordinate_field(system: str) -> MetricField:
     (r, theta, phi); ``cylindrical`` as (rho, phi, z).
     """
     if system == "cartesian":
-        return MetricField.constant(MINKOWSKI, name="cartesian")
+        return MetricField.constant(MINKOWSKI)
     if system == "spherical":
-        return MetricField(evaluate=_spherical_metric, name="spherical")
+        return MetricField(evaluate=_spherical_metric)
     if system == "cylindrical":
-        return MetricField(evaluate=_cylindrical_metric, name="cylindrical")
+        return MetricField(evaluate=_cylindrical_metric)
     raise ValueError(f"unknown coordinate system {system!r}")

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonNullLaunch, NonPositiveIndex
-from .geometrize import MetricField, index_profile_field
+from .errors import NonNullLaunch
+from .geometrize import MetricField, _positive_index, index_profile_field
 
 __all__ = [
     "RayState",
@@ -41,6 +41,7 @@ __all__ = [
 
 GRAD_DELTA = 1e-6  # central-difference step of the metric gradient
 NULL_TOL = 1e-9  # launch |H|, relative to the quadratic scale
+NULL_DRIFT_MAX = 1e-6  # largest max |H| along a ray that counts as null (acceptance bound)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ def trace_ray(
     step: float,
     n_steps: int,
     *,
-    project: bool = False,
     bounds: Sequence[tuple[float, float]] | None = None,
 ) -> RayTrajectory:
     """Integrate a null ray for ``n_steps`` fixed RK4 steps of size ``step``.
@@ -150,7 +150,7 @@ def trace_ray(
     ``bounds``, when given, is one (lo, hi) pair per spatial axis; a ray
     leaving the box returns the partial trajectory with the exit flag set.
     Launch covectors must satisfy |H| <= NULL_TOL (relative to the quadratic
-    scale) unless ``project=True``, which rescales the spatial part first.
+    scale); :func:`launch_state` projects a launch onto the null shell.
 
     Smooth media get plain fixed steps.  A medium whose gradient jumps
     across a surface declares it as ``field.interface``, negative inside.
@@ -173,14 +173,12 @@ def trace_ray(
         raise ValueError("x0 and k0 must have 4 components")
 
     ginv = field.inverse_at(x[1:])
-    if project:
-        k = project_to_null(ginv, k)
     h0 = hamiltonian(ginv, k)
     scale = max(0.5 * float(np.abs(ginv).max() * (k @ k)), 1.0)
     if abs(h0) > NULL_TOL * scale:
         raise NonNullLaunch(
             f"launch covector has |H| = {abs(h0)}, above tolerance; "
-            "pass project=True to project onto the null shell"
+            "launch it with launch_state to project onto the null shell"
         )
 
     def inside(p: np.ndarray) -> bool:
@@ -267,18 +265,17 @@ def trace_ray(
 
 @dataclass(frozen=True)
 class MediumCatalogEntry:
-    """Named isotropic index profile with its domain of validity."""
+    """Named isotropic index profile."""
 
     name: str
     index: Callable[[np.ndarray], float]
-    domain: str
     interface: Callable[[np.ndarray], float] | None = None  # where the gradient jumps
 
     def index_at(self, point) -> float:
         return float(self.index(np.asarray(point, dtype=float)))
 
     def metric_field(self) -> MetricField:
-        return index_profile_field(self.index, name=self.name, interface=self.interface)
+        return index_profile_field(self.index, interface=self.interface)
 
 
 def maxwell_fisheye() -> MediumCatalogEntry:
@@ -287,7 +284,7 @@ def maxwell_fisheye() -> MediumCatalogEntry:
     def index(p: np.ndarray) -> float:
         return 2.0 / (1.0 + float(p @ p))
 
-    return MediumCatalogEntry(name="maxwell_fisheye", index=index, domain="all space")
+    return MediumCatalogEntry(name="maxwell_fisheye", index=index)
 
 
 def luneburg_lens() -> MediumCatalogEntry:
@@ -299,20 +296,18 @@ def luneburg_lens() -> MediumCatalogEntry:
         return math.sqrt(2.0 - r2) if r2 <= 1.0 else 1.0
 
     return MediumCatalogEntry(
-        name="luneburg", index=index, domain="all space (lens inside r <= 1)",
-        interface=lambda p: float(p @ p) - 1.0,
+        name="luneburg", index=index, interface=lambda p: float(p @ p) - 1.0
     )
 
 
 def homogeneous_medium(n: float = 1.0) -> MediumCatalogEntry:
     """Constant index n; rays are straight lines at speed c/n."""
-    if not (np.isfinite(n) and n > 0.0):
-        raise NonPositiveIndex(f"refractive index must be positive, got {n}")
+    _positive_index(n)
 
     def index(p: np.ndarray) -> float:
         return float(n)
 
-    return MediumCatalogEntry(name="homogeneous", index=index, domain="all space")
+    return MediumCatalogEntry(name="homogeneous", index=index)
 
 
 def catalog() -> list[MediumCatalogEntry]:

@@ -194,28 +194,32 @@ def metric_inverse(g: Metric4) -> Metric4:
     return Metric4(0.5 * (inv + inv.T))
 
 
+# Each kind's variance and the sign of its time row: F_{0i} = E_i, G^{0i} = -D^i.
+_PACKING = {
+    TensorKind.F: (Variance.COVARIANT, 1.0),
+    TensorKind.G: (Variance.CONTRAVARIANT, -1.0),
+}
+
+
+def _pack(kind: TensorKind, time: np.ndarray, space: np.ndarray) -> FieldTensor:
+    """Field tensor of ``kind`` from its time-row vector and its spatial vector."""
+    variance, sign = _PACKING[kind]
+    t = np.zeros((4, 4))
+    t[0, 1:] = sign * time
+    t[1:, 0] = -sign * time
+    t[1, 2], t[1, 3], t[2, 3] = -space[2], space[1], -space[0]
+    t[2, 1], t[3, 1], t[3, 2] = space[2], -space[1], space[0]
+    return FieldTensor(t, variance, kind)
+
+
 def build_F_lower(e, b) -> FieldTensor:
     """Covariant field-strength tensor from intensities E_i and induction B^i."""
-    e = _as_vec3(e, "E")
-    b = _as_vec3(b, "B")
-    t = np.zeros((4, 4))
-    t[0, 1:] = e
-    t[1:, 0] = -e
-    t[1, 2], t[1, 3], t[2, 3] = -b[2], b[1], -b[0]
-    t[2, 1], t[3, 1], t[3, 2] = b[2], -b[1], b[0]
-    return FieldTensor(t, Variance.COVARIANT, TensorKind.F)
+    return _pack(TensorKind.F, _as_vec3(e, "E"), _as_vec3(b, "B"))
 
 
 def build_G_upper(d, h) -> FieldTensor:
     """Contravariant induction tensor from inductions D^i and intensities H_i."""
-    d = _as_vec3(d, "D")
-    h = _as_vec3(h, "H")
-    t = np.zeros((4, 4))
-    t[0, 1:] = -d
-    t[1:, 0] = d
-    t[1, 2], t[1, 3], t[2, 3] = -h[2], h[1], -h[0]
-    t[2, 1], t[3, 1], t[3, 2] = h[2], -h[1], h[0]
-    return FieldTensor(t, Variance.CONTRAVARIANT, TensorKind.G)
+    return _pack(TensorKind.G, _as_vec3(d, "D"), _as_vec3(h, "H"))
 
 
 def _require_tags(t: FieldTensor, variance: Variance, kinds, op: str) -> None:
@@ -227,22 +231,22 @@ def _require_tags(t: FieldTensor, variance: Variance, kinds, op: str) -> None:
         )
 
 
+def _unpack(t: FieldTensor, kind: TensorKind, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The time-row and spatial vectors that :func:`_pack` packed into ``t``."""
+    variance, sign = _PACKING[kind]
+    _require_tags(t, variance, (kind,), op)
+    m = t.matrix
+    return sign * m[0, 1:], np.array([-m[2, 3], m[1, 3], -m[1, 2]])
+
+
 def extract_EB(f: FieldTensor) -> tuple[np.ndarray, np.ndarray]:
     """Read (E_i, B^i) back out of a covariant F tensor. Exact component copies."""
-    _require_tags(f, Variance.COVARIANT, (TensorKind.F,), "extract_EB")
-    t = f.matrix
-    e = t[0, 1:].copy()
-    b = np.array([-t[2, 3], t[1, 3], -t[1, 2]])
-    return e, b
+    return _unpack(f, TensorKind.F, "extract_EB")
 
 
 def extract_DH(g: FieldTensor) -> tuple[np.ndarray, np.ndarray]:
     """Read (D^i, H_i) back out of a contravariant G tensor. Exact component copies."""
-    _require_tags(g, Variance.CONTRAVARIANT, (TensorKind.G,), "extract_DH")
-    t = g.matrix
-    d = (-t[0, 1:]).copy()
-    h = np.array([-t[2, 3], t[1, 3], -t[1, 2]])
-    return d, h
+    return _unpack(g, TensorKind.G, "extract_DH")
 
 
 def _antisym(t: np.ndarray) -> np.ndarray:

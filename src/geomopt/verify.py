@@ -296,6 +296,18 @@ def minkowski_projection_residual(
     return r1, r2
 
 
+def _reconstruct(g: Metric4, v, w, sign: float) -> np.ndarray:
+    """[ (g_{0j} g_{i0} - g_00 g_{ij}) v^j + sign g_{0j} g_{ik} eps^{jkl} w_l ] / sqrt(-g)."""
+    m = g.matrix
+    s = sqrt_minus_det(g)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    g0 = m[1:, 0]
+    coeff = np.outer(g0, g0) - m[0, 0] * m[1:, 1:]
+    mixed = np.einsum("j,ik,jkl,l->i", g0, m[1:, 1:], levi_civita3(), w)
+    return (coeff @ v + sign * mixed) / s
+
+
 def reconstruct_E_from_DH(g: Metric4, d, h) -> np.ndarray:
     """Field intensity E_i recovered from inductions through the covariant
     metric components (the inverse reading of the medium map):
@@ -303,14 +315,7 @@ def reconstruct_E_from_DH(g: Metric4, d, h) -> np.ndarray:
         E_i = [ (g_{0j} g_{i0} - g_00 g_{ij}) D^j
                 - g_{0j} g_{ik} eps^{jkl} H_l ] / sqrt(-g)
     """
-    m = g.matrix
-    s = sqrt_minus_det(g)
-    d = np.asarray(d, dtype=float)
-    h = np.asarray(h, dtype=float)
-    g0 = m[1:, 0]
-    coeff = np.outer(g0, g0) - m[0, 0] * m[1:, 1:]
-    mixed = np.einsum("j,ik,jkl,l->i", g0, m[1:, 1:], levi_civita3(), h)
-    return (coeff @ d - mixed) / s
+    return _reconstruct(g, d, h, -1.0)
 
 
 def reconstruct_H_from_EB(g: Metric4, e, b) -> np.ndarray:
@@ -319,14 +324,7 @@ def reconstruct_H_from_EB(g: Metric4, e, b) -> np.ndarray:
         H_i = [ (g_{0j} g_{i0} - g_00 g_{ij}) B^j
                 + g_{0j} g_{ik} eps^{jkl} E_l ] / sqrt(-g)
     """
-    m = g.matrix
-    s = sqrt_minus_det(g)
-    e = np.asarray(e, dtype=float)
-    b = np.asarray(b, dtype=float)
-    g0 = m[1:, 0]
-    coeff = np.outer(g0, g0) - m[0, 0] * m[1:, 1:]
-    mixed = np.einsum("j,ik,jkl,l->i", g0, m[1:, 1:], levi_civita3(), e)
-    return (coeff @ b + mixed) / s
+    return _reconstruct(g, b, e, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,44 +603,38 @@ def transverse_wave_inductions(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bianchi_order(h: float) -> float:
+def _grid_order(residual: Callable[[int, int, float], float], h: float) -> float:
+    """Measured convergence order log2(coarse / fine) of a grid residual.
+
+    ``residual(nt, nx, hx)`` samples nt times at hx / 2 and nx points along
+    the wave at hx; both grids span 0.8, the coarse at hx = h, the fine at h / 2.
+    """
     n = round(0.8 / h)
-    coarse = bianchi_residual_grid(
-        sine_wave_potential,
-        np.zeros(4),
-        (2 * n + 1, 3, 3, n + 1),
-        (h / 2.0, h, h, h),
-    )
-    fine = bianchi_residual_grid(
-        sine_wave_potential,
-        np.zeros(4),
-        (4 * n + 1, 3, 3, 2 * n + 1),
-        (h / 4.0, h / 2.0, h / 2.0, h / 2.0),
-    )
+    coarse = residual(2 * n + 1, n + 1, h)
+    fine = residual(4 * n + 1, 2 * n + 1, h / 2.0)
     return math.log2(coarse / fine)
 
 
-def _divergence_order(h: float) -> float:
-    n = round(0.8 / h)
+def _bianchi_residual(nt: int, nx: int, hx: float) -> float:
+    return bianchi_residual_grid(
+        sine_wave_potential, np.zeros(4), (nt, 3, 3, nx), (hx / 2.0, hx, hx, hx)
+    )
 
-    def residual(nt, nx, ht, hx):
-        grid = FieldGrid.from_function(
-            transverse_wave_inductions, np.zeros(4), (nt, nx, 3, 3), (ht, hx, hx, hx)
-        )
-        return divergence_residual(grid)
 
-    coarse = residual(2 * n + 1, n + 1, h / 2.0, h)
-    fine = residual(4 * n + 1, 2 * n + 1, h / 4.0, h / 2.0)
-    return math.log2(coarse / fine)
+def _divergence_residual(nt: int, nx: int, hx: float) -> float:
+    grid = FieldGrid.from_function(
+        transverse_wave_inductions, np.zeros(4), (nt, nx, 3, 3), (hx / 2.0, hx, hx, hx)
+    )
+    return divergence_residual(grid)
 
 
 def _check_bianchi_order() -> CheckResult:
-    order = _bianchi_order(0.02)
+    order = _grid_order(_bianchi_residual, 0.02)
     return _result("bianchi_grid_order", 2.0 - order, 0.1)
 
 
 def _check_divergence_order() -> CheckResult:
-    order = _divergence_order(0.02)
+    order = _grid_order(_divergence_residual, 0.02)
     return _result("divergence_grid_order", 2.0 - order, 0.1)
 
 

@@ -404,6 +404,30 @@ class TestTraceCommand:
         assert sorted(p.name for p in out.iterdir()) == ["ray_000.csv", "rays.svg"]
         assert (out / "rays.svg").read_text().count("<polyline") == 1
 
+    def test_drifting_ray_is_reported(self, tmp_path, capsys):
+        # A fish-eye ray that runs out to large r, with a step too coarse for
+        # the 1e-6 drift bound: max |H| reaches about 1.4e-5.
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "trace",
+                "medium": {"name": "fisheye"},
+                "rays": {
+                    "launches": [{"origin": [-1.5, 0.2, 0], "direction": [1, 0, 0]}],
+                    "step": 1e-2,
+                    "steps": 800,
+                },
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        assert run(["--config", cfg]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("ray 0: completed after 800 steps, max |H| = ")
+        assert line.endswith(", drifted above 1e-06")
+        assert float(line.split("max |H| = ")[1].split(",")[0]) > 1e-6
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["ray_000.csv", "rays.svg"]
+
     def test_zero_direction_is_config_error(self, tmp_path, capsys):
         cfg = self.trace_config(
             tmp_path,

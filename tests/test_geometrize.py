@@ -18,6 +18,7 @@ from geomopt import (
     extract_DH,
     fourdim_constitutive,
     geometrized_constitutive,
+    homogeneous_medium,
     index_profile_field,
     isotropic_metric_from_index,
     leonhardt_velocity,
@@ -333,13 +334,29 @@ class TestIndexLift:
         with pytest.raises(NonPositiveIndex):
             isotropic_metric_from_index(-2.0)
 
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "lift",
+        [
+            isotropic_metric_from_index,
+            lambda n: index_profile_field(lambda p: n).inverse_at([0.0, 0.0, 0.0]),
+            lambda n: leonhardt_velocity(Metric4(OFFSET_METRIC), n),
+            homogeneous_medium,
+        ],
+        ids=["metric_from_index", "profile_inverse", "leonhardt_velocity", "homogeneous"],
+    )
+    def test_every_entry_point_rejects_a_non_positive_index(self, lift, n):
+        with pytest.raises(NonPositiveIndex) as caught:
+            lift(n)
+        assert str(caught.value) == f"refractive index must be positive, got {n}"
+
     @pytest.mark.parametrize("n", [1e-160, 1e-200])  # 1/n^2 overflows; n^2 underflows
     def test_profile_field_rejects_vanishing_index(self, n):
         with pytest.raises(NonPositiveIndex, match="too small"):
             index_profile_field(lambda p: n).inverse_at([0.0, 0.0, 0.0])
 
     def test_profile_field_lift(self):
-        field = index_profile_field(lambda p: 2.0 / (1.0 + float(p @ p)), name="n")
+        field = index_profile_field(lambda p: 2.0 / (1.0 + float(p @ p)))
         g0 = field.metric_at([0.0, 0.0, 0.0])
         assert np.array_equal(g0.matrix, np.diag([1.0, -4.0, -4.0, -4.0]))
         p = np.array([0.3, -0.2, 0.7])

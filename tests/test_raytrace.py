@@ -106,13 +106,6 @@ class TestTraceRay:
         with pytest.raises(NonNullLaunch):
             trace_ray(field, [0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], 1e-3, 10)
 
-    def test_project_flag_recovers(self):
-        field = homogeneous_medium(2.0).metric_field()
-        tr = trace_ray(
-            field, [0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], 1e-3, 10, project=True
-        )
-        assert_allclose(tr.k[0], [1.0, -2.0, 0.0, 0.0], atol=1e-14)
-
     def test_domain_exit_flagged(self):
         field = homogeneous_medium(1.0).metric_field()
         state = launch_state(field, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
