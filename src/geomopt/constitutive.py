@@ -149,32 +149,46 @@ def lambda_from_eps_mu(eps, mu=None, *, mu_inv=None) -> LambdaTensor:
     if (mu is None) == (mu_inv is None):
         raise ValueError("pass exactly one of mu or mu_inv")
     if mu_inv is None:
-        mu = _check_3x3(mu, "mu")
-        det = float(np.linalg.det(mu))
-        scale = max(float(np.abs(mu).max()), np.finfo(float).tiny)
-        if abs(det) < SINGULAR_MU_TOL * scale**3:
-            raise SingularMu(f"mu determinant {det} below tolerance")
-        mu_inv = np.linalg.inv(mu)
+        mu_inv = _mu_inverse(_check_3x3(mu, "mu"))
     else:
         mu_inv = _check_3x3(mu_inv, "mu_inv")
+    return LambdaTensor(_lambda(eps, mu_inv))
 
-    lam = np.zeros((4, 4, 4, 4))
+
+def _mu_inverse(mu: np.ndarray) -> np.ndarray:
+    """Inverse of one 3x3 mu or a stack; SingularMu, naming the first singular
+    determinant, where |det mu| < SINGULAR_MU_TOL * max|mu|^3."""
+    det = np.linalg.det(mu)
+    scale = np.abs(mu).max(axis=(-2, -1), initial=np.finfo(float).tiny)
+    singular = np.abs(det) < SINGULAR_MU_TOL * scale**3
+    if np.any(singular):
+        raise SingularMu(f"mu determinant {float(np.asarray(det)[singular][0])} below tolerance")
+    return np.linalg.inv(mu)
+
+
+def _lambda(eps: np.ndarray, mu_inv: np.ndarray) -> np.ndarray:
+    """Components of :func:`lambda_from_eps_mu` for one (eps, mu^{-1}) pair or a stack."""
+    lam = np.zeros(eps.shape[:-2] + (4, 4, 4, 4))
     half_eps = 0.5 * eps
-    lam[0, 1:, 0, 1:] = half_eps
-    lam[1:, 0, 0, 1:] = -half_eps
-    lam[0, 1:, 1:, 0] = -half_eps
-    lam[1:, 0, 1:, 0] = half_eps
+    lam[..., 0, 1:, 0, 1:] = half_eps
+    lam[..., 1:, 0, 0, 1:] = -half_eps
+    lam[..., 0, 1:, 1:, 0] = -half_eps
+    lam[..., 1:, 0, 1:, 0] = half_eps
     sym3 = levi_civita3()
-    lam[1:, 1:, 1:, 1:] = 0.5 * np.einsum("ijk,lmn,lk->ijmn", sym3, sym3, mu_inv)
-    return LambdaTensor(lam)
+    lam[..., 1:, 1:, 1:, 1:] = 0.5 * np.einsum("ijk,lmn,...lk->...ijmn", sym3, sym3, mu_inv)
+    return lam
 
 
 def apply_lambda(lam: LambdaTensor, f: FieldTensor) -> FieldTensor:
     """G^{ab} = lam^{ab}_{cd} F^{cd}, the four-dimensional constitutive map."""
     if f.variance is not Variance.CONTRAVARIANT or f.kind is not TensorKind.F:
         raise ValueError("apply_lambda needs a contravariant field-strength tensor")
-    g = np.einsum("abcd,cd->ab", lam.tensor, f.matrix)
-    return FieldTensor(g, Variance.CONTRAVARIANT, TensorKind.G)
+    return FieldTensor(_apply_lambda(lam.tensor, f.matrix), Variance.CONTRAVARIANT, TensorKind.G)
+
+
+def _apply_lambda(lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """lam^{ab}_{cd} F^{cd} for one tensor pair or a stack."""
+    return np.einsum("...abcd,...cd->...ab", lam, f)
 
 
 def isotropic_lambda_factored(m: IsotropicMedium) -> tuple[np.ndarray, np.ndarray]:

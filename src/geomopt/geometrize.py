@@ -27,6 +27,9 @@ from .tensors import (
     MINKOWSKI,
     TensorKind,
     Variance,
+    _antisym,
+    _congruent,
+    _matvec,
     _max_abs,
     _singular,
     metric_inverse,
@@ -144,9 +147,12 @@ def geometrized_constitutive(
     material = res.material if isinstance(res, GeometrizationResult) else res
     e = np.asarray(e, dtype=float)
     h = np.asarray(h, dtype=float)
-    d = material.eps @ e + np.cross(material.w, h)
-    b = material.mu @ h - np.cross(material.w, e)
-    return d, b
+    return _geometrized(material.eps, material.mu, material.w, e, h)
+
+
+def _geometrized(eps, mu, w, e, h) -> tuple[np.ndarray, np.ndarray]:
+    """(D, B) of :func:`geometrized_constitutive` for one medium and field pair or stacks."""
+    return _matvec(eps, e) + np.cross(w, h), _matvec(mu, h) - np.cross(w, e)
 
 
 def fourdim_constitutive(g: Metric4, gamma: Metric4, f: FieldTensor) -> FieldTensor:
@@ -154,10 +160,13 @@ def fourdim_constitutive(g: Metric4, gamma: Metric4, f: FieldTensor) -> FieldTen
     if f.variance is not Variance.COVARIANT or f.kind is not TensorKind.F:
         raise ValueError("fourdim_constitutive needs a covariant field-strength tensor")
     factor = sqrt_minus_det(g) / sqrt_minus_det(gamma)
-    ginv = metric_inverse(g).matrix
-    out = factor * (ginv @ f.matrix @ ginv.T)
-    out = 0.5 * (out - out.T)
+    out = _fourdim(factor, metric_inverse(g).matrix, f.matrix)
     return FieldTensor(out, Variance.CONTRAVARIANT, TensorKind.G)
+
+
+def _fourdim(factor, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """G^{ab} of :func:`fourdim_constitutive` for one (factor, g^{-1}, F) or a stack."""
+    return _antisym(np.asarray(factor)[..., None, None] * _congruent(ginv, f))
 
 
 def _positive_index(n: float) -> None:
@@ -247,11 +256,15 @@ def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
 
 def metric_identity_residual(g: Metric4) -> float:
     """Max-abs residual of (g_{ik} - g_{0i} g_{0k} / g_00) g^{kj} = delta_i^j."""
-    g00 = _check_g00(g)
-    ginv = metric_inverse(g).matrix
-    g0 = g.matrix[1:, 0]
-    reduced = g.spatial - np.outer(g0, g0) / g00
-    return float(np.abs(reduced @ ginv[1:, 1:] - np.eye(3)).max())
+    _check_g00(g)
+    return float(_metric_identity(g.matrix, metric_inverse(g).matrix))
+
+
+def _metric_identity(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """:func:`metric_identity_residual` of one metric or each in a stack, given g^{-1}."""
+    g0 = m[..., 1:, 0]
+    reduced = m[..., 1:, 1:] - g0[..., :, None] * g0[..., None, :] / m[..., :1, :1]
+    return np.abs(reduced @ ginv[..., 1:, 1:] - np.eye(3)).max(axis=(-2, -1))
 
 
 def _spherical_metric(p: np.ndarray) -> Metric4:

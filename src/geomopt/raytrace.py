@@ -147,8 +147,10 @@ def trace_ray(
 ) -> RayTrajectory:
     """Integrate a null ray for ``n_steps`` fixed RK4 steps of size ``step``.
 
-    ``bounds``, when given, is one (lo, hi) pair per spatial axis; a ray
-    leaving the box returns the partial trajectory with the exit flag set.
+    ``bounds``, when given, is one (lo, hi) pair per spatial axis; a step
+    that takes the ray from inside the box to outside ends the trajectory
+    there with the exit flag set.  A ray launched outside the box runs on
+    until it has entered the box and left it again.
     Launch covectors must satisfy |H| <= NULL_TOL (relative to the quadratic
     scale); :func:`launch_state` projects a launch onto the null shell.
 
@@ -228,6 +230,7 @@ def trace_ray(
 
     side, near = (None, False) if field.interface is None else where(x[1:])
     exited = False
+    in_box = bounds is not None and _in_bounds(x[1:], bounds)
     count = 0
     for istep in range(n_steps):
         x_new, k_new = rk4(x, k, step, side if near else None)
@@ -252,9 +255,11 @@ def trace_ray(
         xs[count] = x
         ks[count] = k
         hs[count] = hamiltonian(field.inverse_at(x[1:]), k)
-        if bounds is not None and not _in_bounds(x[1:], bounds):
-            exited = True
-            break
+        if bounds is not None:
+            was_in_box, in_box = in_box, _in_bounds(x[1:], bounds)
+            if was_in_box and not in_box:
+                exited = True
+                break
 
     end = count + 1
     return RayTrajectory(

@@ -27,6 +27,11 @@ def random_lorentzian_metric(rng: np.random.Generator) -> Metric4:
     signature by congruence; draws are rejected until the frame determinant
     and g_00 clear the floors.
     """
+    return Metric4(_lorentzian_matrix(rng))
+
+
+def _lorentzian_matrix(rng: np.random.Generator) -> np.ndarray:
+    """The exactly symmetric matrix of :func:`random_lorentzian_metric`, same draws."""
     eta = MINKOWSKI.matrix
     while True:
         frame = np.eye(4) + rng.normal(0.0, FRAME_SCALE, size=(4, 4))
@@ -35,7 +40,7 @@ def random_lorentzian_metric(rng: np.random.Generator) -> Metric4:
         g = frame @ eta @ frame.T
         if g[0, 0] < MIN_G00:
             continue
-        return Metric4(0.5 * (g + g.T))
+        return 0.5 * (g + g.T)
 
 
 def random_antisymmetric4(rng: np.random.Generator) -> np.ndarray:

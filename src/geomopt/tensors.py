@@ -181,17 +181,26 @@ def _singular(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     return np.abs(det) < SINGULAR_METRIC_TOL * _max_abs(m) ** 4
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Exactly symmetric inverse of one metric matrix or a stack (..., 4, 4).
+
+    Raises SingularMetric, naming the first singular determinant, where
+    |det g| < SINGULAR_METRIC_TOL * max|g|^4.
+    """
+    det = np.linalg.det(m)
+    singular = _singular(m, det)
+    if np.any(singular):
+        raise SingularMetric(f"metric determinant {float(np.asarray(det)[singular][0])} below tolerance")
+    inv = np.linalg.inv(m)
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
+
+
 def metric_inverse(g: Metric4) -> Metric4:
     """Inverse metric g^{ab}, exactly symmetric, with g . g^{-1} = I.
 
     Raises SingularMetric when |det g| < SINGULAR_METRIC_TOL * max|g|^4.
     """
-    m = g.matrix
-    det = float(np.linalg.det(m))
-    if _singular(m, det):
-        raise SingularMetric(f"metric determinant {det} below tolerance")
-    inv = np.linalg.inv(m)
-    return Metric4(0.5 * (inv + inv.T))
+    return Metric4(_inverse(g.matrix))
 
 
 # Each kind's variance and the sign of its time row: F_{0i} = E_i, G^{0i} = -D^i.
@@ -201,15 +210,20 @@ _PACKING = {
 }
 
 
+def _packed(kind: TensorKind, time: np.ndarray, space: np.ndarray) -> np.ndarray:
+    """Matrix of ``kind`` from time-row and spatial vectors, one pair (3,) or a stack (..., 3)."""
+    sign = _PACKING[kind][1]
+    t = np.zeros(time.shape[:-1] + (4, 4))
+    t[..., 0, 1:] = sign * time
+    t[..., 1:, 0] = -sign * time
+    t[..., 1, 2], t[..., 1, 3], t[..., 2, 3] = -space[..., 2], space[..., 1], -space[..., 0]
+    t[..., 2, 1], t[..., 3, 1], t[..., 3, 2] = space[..., 2], -space[..., 1], space[..., 0]
+    return t
+
+
 def _pack(kind: TensorKind, time: np.ndarray, space: np.ndarray) -> FieldTensor:
     """Field tensor of ``kind`` from its time-row vector and its spatial vector."""
-    variance, sign = _PACKING[kind]
-    t = np.zeros((4, 4))
-    t[0, 1:] = sign * time
-    t[1:, 0] = -sign * time
-    t[1, 2], t[1, 3], t[2, 3] = -space[2], space[1], -space[0]
-    t[2, 1], t[3, 1], t[3, 2] = space[2], -space[1], space[0]
-    return FieldTensor(t, variance, kind)
+    return FieldTensor(_packed(kind, time, space), _PACKING[kind][0], kind)
 
 
 def build_F_lower(e, b) -> FieldTensor:
@@ -231,12 +245,16 @@ def _require_tags(t: FieldTensor, variance: Variance, kinds, op: str) -> None:
         )
 
 
+def _unpacked(kind: TensorKind, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The time-row and spatial vectors that :func:`_packed` packed into one matrix or a stack."""
+    sign = _PACKING[kind][1]
+    return sign * m[..., 0, 1:], np.stack([-m[..., 2, 3], m[..., 1, 3], -m[..., 1, 2]], axis=-1)
+
+
 def _unpack(t: FieldTensor, kind: TensorKind, op: str) -> tuple[np.ndarray, np.ndarray]:
     """The time-row and spatial vectors that :func:`_pack` packed into ``t``."""
-    variance, sign = _PACKING[kind]
-    _require_tags(t, variance, (kind,), op)
-    m = t.matrix
-    return sign * m[0, 1:], np.array([-m[2, 3], m[1, 3], -m[1, 2]])
+    _require_tags(t, _PACKING[kind][0], (kind,), op)
+    return _unpacked(kind, t.matrix)
 
 
 def extract_EB(f: FieldTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -250,15 +268,24 @@ def extract_DH(g: FieldTensor) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _antisym(t: np.ndarray) -> np.ndarray:
-    return 0.5 * (t - t.T)
+    return 0.5 * (t - t.swapaxes(-1, -2))
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v for one matrix and vector or a stack; the same BLAS call per pair as ``m @ v``."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _congruent(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """m t m^T for one pair of 4x4 matrices or a stack."""
+    return m @ t @ m.swapaxes(-1, -2)
 
 
 def raise_field_tensor(t: FieldTensor, g: Metric4) -> FieldTensor:
     """T^{ab} = g^{ac} g^{bd} T_{cd}; kind is preserved, variance flips."""
     if t.variance is not Variance.COVARIANT:
         raise VarianceMismatch("raise_field_tensor needs a covariant tensor")
-    ginv = metric_inverse(g).matrix
-    out = _antisym(ginv @ t.matrix @ ginv.T)
+    out = _antisym(_congruent(metric_inverse(g).matrix, t.matrix))
     return FieldTensor(out, Variance.CONTRAVARIANT, t.kind)
 
 
@@ -266,8 +293,7 @@ def lower_field_tensor(t: FieldTensor, g: Metric4) -> FieldTensor:
     """T_{ab} = g_{ac} g_{bd} T^{cd}; kind is preserved, variance flips."""
     if t.variance is not Variance.CONTRAVARIANT:
         raise VarianceMismatch("lower_field_tensor needs a contravariant tensor")
-    m = g.matrix
-    out = _antisym(m @ t.matrix @ m.T)
+    out = _antisym(_congruent(g.matrix, t.matrix))
     return FieldTensor(out, Variance.COVARIANT, t.kind)
 
 
@@ -277,13 +303,26 @@ def alternating_tensor(g: Metric4, variance: Variance) -> np.ndarray:
     Covariant components are sqrt(-g) * symbol, contravariant components are
     -symbol / sqrt(-g), with symbol value +1 at index order (0, 1, 2, 3).
     """
-    s = sqrt_minus_det(g)
-    sym = levi_civita4()
+    return _alternating(sqrt_minus_det(g), variance)
+
+
+def _alternating(s, variance: Variance) -> np.ndarray:
+    """Alternating tensor of one sqrt(-g) or of each in a stack (..., 4, 4, 4, 4)."""
     if variance is Variance.COVARIANT:
-        return s * sym
+        return np.multiply.outer(s, levi_civita4())
     if variance is Variance.CONTRAVARIANT:
-        return (-1.0 / s) * sym
+        return np.multiply.outer(-1.0 / s, levi_civita4())
     raise ValueError("variance must be a Variance member")
+
+
+def _dual(t: np.ndarray) -> np.ndarray:
+    """Symbol contraction eps^{abcd} t_{cd} of one 4x4 matrix or a stack (no density factor)."""
+    return np.einsum("abcd,...cd->...ab", levi_civita4(), t)
+
+
+def _f_dual(f: np.ndarray, s) -> np.ndarray:
+    """Matrix of :func:`dual_F` for one covariant F and sqrt(-g), or stacks of both."""
+    return _dual(f) / (2.0 * np.asarray(s)[..., None, None])
 
 
 def dual_F(f: FieldTensor, g: Metric4) -> FieldTensor:
@@ -296,7 +335,7 @@ def dual_F(f: FieldTensor, g: Metric4) -> FieldTensor:
     """
     _require_tags(f, Variance.COVARIANT, (TensorKind.F, TensorKind.F_DUAL), "dual_F")
     s = sqrt_minus_det(g)
-    out = np.einsum("abcd,cd->ab", levi_civita4(), f.matrix) / (2.0 * s)
+    out = _f_dual(f.matrix, s)
     kind = TensorKind.F_DUAL if f.kind is TensorKind.F else TensorKind.F
     return FieldTensor(out, Variance.CONTRAVARIANT, kind)
 
@@ -309,6 +348,6 @@ def dual_G(t: FieldTensor, g: Metric4) -> FieldTensor:
     """
     _require_tags(t, Variance.CONTRAVARIANT, (TensorKind.G, TensorKind.G_DUAL), "dual_G")
     s = sqrt_minus_det(g)
-    out = (-0.5 * s) * np.einsum("abcd,cd->ab", levi_civita4(), t.matrix)
+    out = (-0.5 * s) * _dual(t.matrix)
     kind = TensorKind.G_DUAL if t.kind is TensorKind.G else TensorKind.G
     return FieldTensor(out, Variance.COVARIANT, kind)

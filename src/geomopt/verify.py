@@ -24,24 +24,25 @@ import numpy as np
 from .constitutive import (
     IsotropicMedium,
     MediumVelocity,
-    lambda_from_eps_mu,
-    apply_lambda,
+    _apply_lambda,
+    _lambda,
+    _mu_inverse,
     minkowski_moving_3d,
     tamm_moving_anisotropic_3d,
 )
 from .errors import AsymmetricConnection, GridTooSmall, UnnormalizedVelocity
 from .geometrize import (
+    _fourdim,
+    _geometrized,
+    _metric_identity,
     coordinate_field,
-    fourdim_constitutive,
-    geometrized_constitutive,
     isotropic_metric_from_index,
-    metric_identity_residual,
     plebanski_cartesian,
-    plebanski_curvilinear,
+    plebanski_stack,
 )
 from .sampling import (
+    _lorentzian_matrix,
     random_antisymmetric4,
-    random_lorentzian_metric,
     random_spd3,
     random_symmetric_connection,
 )
@@ -51,16 +52,22 @@ from .tensors import (
     MINKOWSKI,
     TensorKind,
     Variance,
-    alternating_tensor,
+    _alternating,
+    _antisym,
+    _congruent,
+    _f_dual,
+    _inverse,
+    _matvec,
+    _packed,
+    _unpacked,
     build_F_lower,
     build_G_upper,
     dual_F,
     dual_G,
-    extract_DH,
     levi_civita3,
-    lower_field_tensor,
     metric_inverse,
     raise_field_tensor,
+    sqrt_minus,
     sqrt_minus_det,
 )
 
@@ -125,16 +132,19 @@ def cyclic_covariant_sum(
         asymmetry = float(np.abs(gamma - gamma.transpose(0, 2, 1)).max())
         if asymmetry > CONNECTION_SYMMETRY_TOL * scale:
             raise AsymmetricConnection("connection is not symmetric in its lower indices")
-    partial = cyclic_partial_sum(df)
-    terms = (
-        np.einsum("dab,dc->abc", gamma, fm)
-        + np.einsum("dac,bd->abc", gamma, fm)
-        + np.einsum("dbc,da->abc", gamma, fm)
-        + np.einsum("dba,cd->abc", gamma, fm)
-        + np.einsum("dca,db->abc", gamma, fm)
-        + np.einsum("dcb,ad->abc", gamma, fm)
+    return cyclic_partial_sum(df) - _connection_terms(gamma, fm)
+
+
+def _connection_terms(gamma: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The six connection terms of :func:`cyclic_covariant_sum`, one (Gamma, F) or a stack."""
+    return (
+        np.einsum("...dab,...dc->...abc", gamma, f)
+        + np.einsum("...dac,...bd->...abc", gamma, f)
+        + np.einsum("...dbc,...da->...abc", gamma, f)
+        + np.einsum("...dba,...cd->...abc", gamma, f)
+        + np.einsum("...dca,...db->...abc", gamma, f)
+        + np.einsum("...dcb,...ad->...abc", gamma, f)
     )
-    return partial - terms
 
 
 def _mesh(origin, shape, spacing) -> tuple[np.ndarray, np.ndarray]:
@@ -296,16 +306,17 @@ def minkowski_projection_residual(
     return r1, r2
 
 
-def _reconstruct(g: Metric4, v, w, sign: float) -> np.ndarray:
-    """[ (g_{0j} g_{i0} - g_00 g_{ij}) v^j + sign g_{0j} g_{ik} eps^{jkl} w_l ] / sqrt(-g)."""
-    m = g.matrix
-    s = sqrt_minus_det(g)
+def _reconstruct(m: np.ndarray, s, v, w, sign: float) -> np.ndarray:
+    """[ (g_{0j} g_{i0} - g_00 g_{ij}) v^j + sign g_{0j} g_{ik} eps^{jkl} w_l ] / sqrt(-g)
+
+    for one metric matrix, sqrt(-g) and vector pair, or stacks of them.
+    """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    g0 = m[1:, 0]
-    coeff = np.outer(g0, g0) - m[0, 0] * m[1:, 1:]
-    mixed = np.einsum("j,ik,jkl,l->i", g0, m[1:, 1:], levi_civita3(), w)
-    return (coeff @ v + sign * mixed) / s
+    g0 = m[..., 1:, 0]
+    coeff = g0[..., :, None] * g0[..., None, :] - m[..., :1, :1] * m[..., 1:, 1:]
+    mixed = np.einsum("...j,...ik,jkl,...l->...i", g0, m[..., 1:, 1:], levi_civita3(), w)
+    return (_matvec(coeff, v) + sign * mixed) / np.asarray(s)[..., None]
 
 
 def reconstruct_E_from_DH(g: Metric4, d, h) -> np.ndarray:
@@ -315,7 +326,7 @@ def reconstruct_E_from_DH(g: Metric4, d, h) -> np.ndarray:
         E_i = [ (g_{0j} g_{i0} - g_00 g_{ij}) D^j
                 - g_{0j} g_{ik} eps^{jkl} H_l ] / sqrt(-g)
     """
-    return _reconstruct(g, d, h, -1.0)
+    return _reconstruct(g.matrix, sqrt_minus_det(g), d, h, -1.0)
 
 
 def reconstruct_H_from_EB(g: Metric4, e, b) -> np.ndarray:
@@ -324,7 +335,7 @@ def reconstruct_H_from_EB(g: Metric4, e, b) -> np.ndarray:
         H_i = [ (g_{0j} g_{i0} - g_00 g_{ij}) B^j
                 + g_{0j} g_{ik} eps^{jkl} E_l ] / sqrt(-g)
     """
-    return _reconstruct(g, b, e, 1.0)
+    return _reconstruct(g.matrix, sqrt_minus_det(g), b, e, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,120 +388,122 @@ def _check_vacuum_identity() -> CheckResult:
     return _result("vacuum_identity", worst, 1e-15)
 
 
+def _stacked(draws: int, draw: Callable[[int], tuple]) -> list[np.ndarray]:
+    """Call ``draw(i)`` for i = 0 .. draws - 1, in order, and stack each of its outputs.
+
+    The batched checks draw exactly as a per-draw loop would, then evaluate
+    their identity once on the stacks.
+    """
+    return [np.array(parts) for parts in zip(*(draw(i) for i in range(draws)))]
+
+
+def _metric_draws(rng, draws) -> np.ndarray:
+    return np.array([_lorentzian_matrix(rng) for _ in range(draws)])
+
+
+def _field_draws(rng, draws) -> list[np.ndarray]:
+    """Metric, E and B, drawn in that order for each draw."""
+    return _stacked(draws, lambda _: (_lorentzian_matrix(rng), rng.normal(size=3), rng.normal(size=3)))
+
+
+def _amax(x: np.ndarray, ndim: int) -> np.ndarray:
+    """max|x| over the last ``ndim`` axes: one value per draw."""
+    return np.abs(x).max(axis=tuple(range(-ndim, 0)))
+
+
 def _check_impedance_matching(rng, draws) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        material = plebanski_cartesian(random_lorentzian_metric(rng)).material
-        scale = max(float(np.abs(material.eps).max()), 1.0)
-        worst = max(
-            worst,
-            float(np.abs(material.eps - material.mu).max()) / scale,
-            float(np.abs(material.eps - material.eps.T).max()) / scale,
-        )
-    return _result("impedance_matching", worst, 1e-12)
+    # The map returns one tensor for eps and mu, so eps = mu holds by
+    # construction and eps - mu is zero; what is left to measure is symmetry.
+    eps = plebanski_stack(_metric_draws(rng, draws), np.ones(draws))[0]
+    scale = np.maximum(_amax(eps, 2), 1.0)
+    worst = _amax(eps - eps.transpose(0, 2, 1), 2) / scale
+    return _result("impedance_matching", worst.max(), 1e-12)
 
 
 def _check_oracle_equivalence(rng, draws) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        g = random_lorentzian_metric(rng)
-        e = rng.normal(size=3)
-        b = rng.normal(size=3)
-        f = build_F_lower(e, b)
-        d, h = extract_DH(fourdim_constitutive(g, MINKOWSKI, f))
-        scale = max(1.0, float(np.abs(e).max()), float(np.abs(h).max()))
-        worst = max(
-            worst,
-            float(np.abs(reconstruct_E_from_DH(g, d, h) - e).max()) / scale,
-            float(np.abs(reconstruct_H_from_EB(g, e, b) - h).max()) / scale,
-        )
-    return _result("oracle_equivalence_4d3d", worst, 1e-10)
+    g, e, b = _field_draws(rng, draws)
+    s = sqrt_minus(np.linalg.det(g))
+    f = _packed(TensorKind.F, e, b)
+    d, h = _unpacked(TensorKind.G, _fourdim(s / sqrt_minus_det(MINKOWSKI), _inverse(g), f))
+    scale = np.maximum(np.maximum(1.0, _amax(e, 1)), _amax(h, 1))
+    worst = np.maximum(
+        _amax(_reconstruct(g, s, d, h, -1.0) - e, 1) / scale,
+        _amax(_reconstruct(g, s, b, e, 1.0) - h, 1) / scale,
+    )
+    return _result("oracle_equivalence_4d3d", worst.max(), 1e-10)
 
 
-def _cancellation_residual(rng, symmetric: bool) -> float:
-    f = random_antisymmetric4(rng)
-    df = rng.normal(size=(4, 4, 4))
-    df = 0.5 * (df - df.transpose(0, 2, 1))
-    gamma = (
-        random_symmetric_connection(rng)
-        if symmetric
-        else rng.normal(size=(4, 4, 4))
-    )
-    lhs = cyclic_covariant_sum(df, f, gamma, validate=False)
-    rhs = cyclic_partial_sum(df)
-    scale = max(
-        float(np.abs(gamma).max()) * float(np.abs(f).max()),
-        float(np.abs(df).max()),
-        1.0,
-    )
-    return float(np.abs(lhs - rhs).max()) / scale
+def _cancellation_residuals(rng, draws, symmetric: bool) -> np.ndarray:
+    def draw(_):
+        f = random_antisymmetric4(rng)
+        df = rng.normal(size=(4, 4, 4))
+        gamma = random_symmetric_connection(rng) if symmetric else rng.normal(size=(4, 4, 4))
+        return f, 0.5 * (df - df.transpose(0, 2, 1)), gamma
+
+    f, df, gamma = _stacked(draws, draw)
+    partial = _cyclic(df)
+    lhs = partial - _connection_terms(gamma, f)
+    scale = np.maximum(np.maximum(_amax(gamma, 3) * _amax(f, 2), _amax(df, 3)), 1.0)
+    return _amax(lhs - partial, 3) / scale
 
 
 def _check_christoffel_cancellation(rng, draws) -> CheckResult:
-    worst = max(_cancellation_residual(rng, symmetric=True) for _ in range(draws))
+    worst = _cancellation_residuals(rng, draws, symmetric=True).max()
     return _result("christoffel_cancellation", worst, 1e-12)
 
 
 def _check_christoffel_control(rng, draws) -> CheckResult:
-    best = min(_cancellation_residual(rng, symmetric=False) for _ in range(draws))
+    best = _cancellation_residuals(rng, draws, symmetric=False).min()
     return _result("christoffel_asymmetry_control", best, 1e-12, expected_fail=True)
 
 
 def _check_metric_identity(rng, draws) -> CheckResult:
-    worst = max(
-        metric_identity_residual(random_lorentzian_metric(rng)) for _ in range(draws)
-    )
-    return _result("metric_identity", worst, 1e-10)
+    g = _metric_draws(rng, draws)
+    return _result("metric_identity", _metric_identity(g, _inverse(g)).max(), 1e-10)
 
 
 def _check_double_dual(rng, draws) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        g = random_lorentzian_metric(rng)
-        f = build_F_lower(rng.normal(size=3), rng.normal(size=3))
-        once = lower_field_tensor(dual_F(f, g), g)
-        twice = lower_field_tensor(dual_F(once, g), g)
-        scale = max(float(np.abs(f.matrix).max()), 1.0)
-        worst = max(worst, float(np.abs(twice.matrix + f.matrix).max()) / scale)
-    return _result("double_dual", worst, 1e-10)
+    g, e, b = _field_draws(rng, draws)
+    s = sqrt_minus(np.linalg.det(g))
+    f = _packed(TensorKind.F, e, b)
+    once = _antisym(_congruent(g, _f_dual(f, s)))
+    twice = _antisym(_congruent(g, _f_dual(once, s)))
+    worst = _amax(twice + f, 2) / np.maximum(_amax(f, 2), 1.0)
+    return _result("double_dual", worst.max(), 1e-10)
 
 
 def _check_alternating_contraction(rng, draws) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        g = random_lorentzian_metric(rng)
-        up = alternating_tensor(g, Variance.CONTRAVARIANT)
-        low = alternating_tensor(g, Variance.COVARIANT)
-        worst = max(worst, abs(float(np.einsum("abcd,abcd->", up, low)) + 24.0) / 24.0)
-    return _result("alternating_contraction", worst, 1e-10)
+    s = sqrt_minus(np.linalg.det(_metric_draws(rng, draws)))
+    up = _alternating(s, Variance.CONTRAVARIANT)
+    low = _alternating(s, Variance.COVARIANT)
+    worst = np.abs(np.einsum("...abcd,...abcd->...", up, low) + 24.0) / 24.0
+    return _result("alternating_contraction", worst.max(), 1e-10)
 
 
 def _check_lambda_equivalence(rng, draws) -> CheckResult:
-    sym3 = levi_civita3()
-    worst = 0.0
-    for i in range(draws):
+    def draw(i):
         if i % 2:
             eps = np.diag(rng.uniform(0.5, 3.0, size=3))
             mu = np.diag(rng.uniform(0.5, 3.0, size=3))
         else:
             eps = random_spd3(rng)
             mu = random_spd3(rng)
-        f = FieldTensor(
-            random_antisymmetric4(rng), Variance.CONTRAVARIANT, TensorKind.F
-        )
-        got = apply_lambda(lambda_from_eps_mu(eps, mu), f).matrix
-        mu_inv = np.linalg.inv(mu)
-        top = eps @ f.matrix[0, 1:]
-        spatial = 0.5 * np.einsum(
-            "ijk,lmn,lk,mn->ij", sym3, sym3, mu_inv, f.matrix[1:, 1:]
-        )
-        expected = np.zeros((4, 4))
-        expected[0, 1:] = top
-        expected[1:, 0] = -top
-        expected[1:, 1:] = spatial
-        scale = max(float(np.abs(expected).max()), 1.0)
-        worst = max(worst, float(np.abs(got - expected).max()) / scale)
-    return _result("lambda_3d_equivalence", worst, 1e-10)
+        return eps, mu, random_antisymmetric4(rng)
+
+    eps, mu, f = _stacked(draws, draw)
+    mu_inv = _mu_inverse(mu)
+    got = _apply_lambda(_lambda(eps, mu_inv), f)
+    sym3 = levi_civita3()
+    top = _matvec(eps, f[:, 0, 1:])
+    expected = np.zeros((draws, 4, 4))
+    expected[:, 0, 1:] = top
+    expected[:, 1:, 0] = -top
+    expected[:, 1:, 1:] = 0.5 * np.einsum(
+        "ijk,lmn,...lk,...mn->...ij", sym3, sym3, mu_inv, f[:, 1:, 1:]
+    )
+    worst = _amax(got - expected, 2) / np.maximum(_amax(expected, 2), 1.0)
+    return _result("lambda_3d_equivalence", worst.max(), 1e-10)
+
 
 
 def _check_inverse_roundtrip() -> CheckResult:
@@ -502,38 +515,29 @@ def _check_inverse_roundtrip() -> CheckResult:
 
 
 def _check_curvilinear_reduction(rng, draws) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        g = random_lorentzian_metric(rng)
-        cart = plebanski_cartesian(g)
-        curv = plebanski_curvilinear(g, MINKOWSKI)
-        worst = max(
-            worst,
-            float(np.abs(cart.material.eps - curv.material.eps).max()),
-            float(np.abs(cart.material.w - curv.material.w).max()),
-        )
-    return _result("curvilinear_reduction", worst, 0.0)
+    g = _metric_draws(rng, draws)
+    cart_eps, cart_w, _, _ = plebanski_stack(g, np.ones(draws))
+    curv_eps, curv_w, _, _ = plebanski_stack(g, np.full(draws, sqrt_minus_det(MINKOWSKI)))
+    worst = np.maximum(_amax(cart_eps - curv_eps, 2), _amax(cart_w - curv_w, 1))
+    return _result("curvilinear_reduction", worst.max(), 0.0)
 
 
 def _check_spherical_identity(rng, draws) -> CheckResult:
     field = coordinate_field("spherical")
-    worst = 0.0
-    for _ in range(draws):
+
+    def draw(_):
         point = np.array(
             [rng.uniform(0.5, 3.0), rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.0, 2.0 * math.pi)]
         )
-        gamma = field.metric_at(point)
-        res = plebanski_curvilinear(gamma, gamma)
-        e = rng.normal(size=3)
-        h = rng.normal(size=3)
-        d, b = geometrized_constitutive(res, e, h)
-        hinv = -metric_inverse(gamma).matrix[1:, 1:]
-        worst = max(
-            worst,
-            float(np.abs(d - hinv @ e).max()),
-            float(np.abs(b - hinv @ h).max()),
-        )
-    return _result("spherical_vacuum_identity", worst, 1e-12)
+        return field.metric_at(point).matrix, rng.normal(size=3), rng.normal(size=3)
+
+    gamma, e, h = _stacked(draws, draw)
+    eps, w, _, _ = plebanski_stack(gamma, sqrt_minus(np.linalg.det(gamma)))
+    d, b = _geometrized(eps, eps, w, e, h)
+    hinv = -_inverse(gamma)[:, 1:, 1:]
+    worst = np.maximum(_amax(d - _matvec(hinv, e), 1), _amax(b - _matvec(hinv, h), 1))
+    return _result("spherical_vacuum_identity", worst.max(), 1e-12)
+
 
 
 def _check_moving_reductions(rng, draws, c) -> CheckResult:

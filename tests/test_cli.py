@@ -361,6 +361,26 @@ class TestTraceCommand:
         assert run(["--config", cfg]) == 0
         assert "exited domain" in capsys.readouterr().out
 
+    def test_launch_outside_box_crosses_it(self, tmp_path, capsys):
+        # Launched at x = -1.5, left of the box [-1, 1]^3: the ray enters the
+        # box and is cut only on the step that takes it out past x = 1.
+        cfg = self.trace_config(
+            tmp_path,
+            grid={"origin": [-1, -1, -1], "extents": [2, 2, 2], "resolution": [2, 2, 2]},
+            rays={
+                "launches": [{"origin": [-1.5, 0, 0], "direction": [1, 0, 0]}],
+                "step": 1e-2,
+                "steps": 400,
+            },
+        )
+        assert run(["--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("ray 0: exited domain after ")
+        header, rows = read_rows(tmp_path / "out" / "ray_000.csv")
+        assert len(rows) > 2
+        xs = [float(row[header.index("x")]) for row in rows]
+        assert xs[0] == -1.5
+        assert xs[-1] > 1.0 and all(x <= 1.0 for x in xs[:-1])
+
     def test_non_null_launch_reported(self, tmp_path, capsys):
         cfg = self.trace_config(
             tmp_path,

@@ -26,6 +26,7 @@ from geomopt import (
     raise_field_tensor,
     tamm_moving_anisotropic_3d,
 )
+from geomopt import constitutive
 from geomopt.sampling import random_antisymmetric4, random_spd3
 
 
@@ -362,3 +363,34 @@ class TestTammMoving:
                 2.0 * np.eye(3), 2.0 * np.eye(3), MediumVelocity([0.5, 0.0, 0.0]),
                 np.ones(3), np.ones(3),
             )
+
+
+class TestStackHelpers:
+    """The Lambda cores on 200 seeded draws equal 200 calls of the scalar
+    public functions, bit for bit."""
+
+    def test_lambda_build_and_apply(self):
+        rng = np.random.default_rng(31)
+        eps = np.array([random_spd3(rng) for _ in range(200)])
+        mu = np.array([random_spd3(rng) for _ in range(200)])
+        f = np.array([random_antisymmetric4(rng) for _ in range(200)])
+        lam = constitutive._lambda(eps, constitutive._mu_inverse(mu))
+        scalar = [lambda_from_eps_mu(eps[i], mu[i]) for i in range(200)]
+        assert lam.tobytes() == np.array([x.tensor for x in scalar]).tobytes()
+        applied = [
+            apply_lambda(scalar[i], FieldTensor(f[i], Variance.CONTRAVARIANT, TensorKind.F)).matrix
+            for i in range(200)
+        ]
+        assert constitutive._apply_lambda(lam, f).tobytes() == np.array(applied).tobytes()
+
+    def test_mu_inverse_names_first_singular_determinant(self):
+        first, second = np.diag([1.0, 1.0, 2e-13]), np.diag([1.0, 1.0, 1e-13])
+        with pytest.raises(SingularMu) as info:
+            constitutive._mu_inverse(np.array([np.eye(3), first, second]))
+        assert str(info.value) == f"mu determinant {float(np.linalg.det(first))} below tolerance"
+
+    def test_scalar_singular_message_unchanged(self):
+        mu = np.diag([1.0, 1.0, 1e-13])
+        with pytest.raises(SingularMu) as info:
+            lambda_from_eps_mu(np.eye(3), mu)
+        assert str(info.value) == f"mu determinant {float(np.linalg.det(mu))} below tolerance"

@@ -117,6 +117,25 @@ class TestTraceRay:
         assert len(tr) - 1 < 5000
         assert tr.x[-1, 1] > 1.0 - 1e-9
 
+    def test_launch_outside_box_enters_then_exits(self):
+        field = homogeneous_medium(1.0).metric_field()
+        state = launch_state(field, [-1.5, 0.0, 0.0], [1.0, 0.0, 0.0])
+        box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        tr = trace_ray(field, state.x, state.k, 1e-2, 400, bounds=box)
+        assert tr.exited_domain
+        assert len(tr) > 2
+        assert np.abs(tr.x[:, 1] - (-1.5 + tr.lam)).max() < 1e-12
+        assert 1.0 < tr.x[-1, 1] < 1.0 + 1e-2 + 1e-12   # cut on the step that leaves
+        assert np.all(tr.x[1:-1, 1] <= 1.0)
+
+    def test_launch_outside_box_never_entering_runs_to_the_end(self):
+        field = homogeneous_medium(1.0).metric_field()
+        state = launch_state(field, [-1.5, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        box = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        tr = trace_ray(field, state.x, state.k, 1e-2, 50, bounds=box)
+        assert not tr.exited_domain
+        assert len(tr) == 51
+
     def test_frequency_conserved_bitwise(self):
         field = maxwell_fisheye().metric_field()
         state = launch_state(field, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0])

@@ -28,7 +28,9 @@ from geomopt import (
     metric_inverse,
     raise_field_tensor,
 )
+from geomopt import tensors
 from geomopt.sampling import random_lorentzian_metric
+from geomopt.tensors import sqrt_minus_det
 
 finite3 = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=3, max_size=3
@@ -388,3 +390,86 @@ class TestDuals:
             dual_F(raise_field_tensor(f, MINKOWSKI), MINKOWSKI)  # contravariant
         with pytest.raises(VarianceMismatch):
             dual_G(dual_G(g_tensor, MINKOWSKI), MINKOWSKI)  # covariant after one dual
+
+
+def same_bits(stack, scalars) -> bool:
+    expected = np.array(scalars)
+    return stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
+
+
+class TestStackHelpers:
+    """Each stack-aware core on 200 seeded draws equals 200 calls of the scalar
+    public function, bit for bit."""
+
+    @pytest.fixture
+    def draws(self):
+        rng = np.random.default_rng(2024)
+        g = [random_lorentzian_metric(rng) for _ in range(200)]
+        e, b = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
+        return g, np.array([x.matrix for x in g]), e, b
+
+    def test_inverse(self, draws):
+        g, m, _, _ = draws
+        assert same_bits(tensors._inverse(m), [metric_inverse(x).matrix for x in g])
+
+    def test_inverse_names_first_singular_determinant(self):
+        first, second = np.diag([1.0, 2e-13, -1.0, -1.0]), np.diag([1.0, 1e-13, -1.0, -1.0])
+        with pytest.raises(SingularMetric) as info:
+            tensors._inverse(np.array([MINKOWSKI.matrix, first, second]))
+        assert str(info.value) == f"metric determinant {float(np.linalg.det(first))} below tolerance"
+
+    def test_scalar_singular_message_unchanged(self):
+        m = np.diag([1.0, 1e-13, -1.0, -1.0])
+        det = float(np.linalg.det(m))
+        with pytest.raises(SingularMetric) as info:
+            metric_inverse(Metric4(m))
+        assert str(info.value) == f"metric determinant {det} below tolerance"
+
+    def test_pack_and_unpack(self, draws):
+        _, _, e, b = draws
+        f = tensors._packed(TensorKind.F, e, b)
+        g = tensors._packed(TensorKind.G, e, b)
+        assert same_bits(f, [build_F_lower(e[i], b[i]).matrix for i in range(200)])
+        assert same_bits(g, [build_G_upper(e[i], b[i]).matrix for i in range(200)])
+        for kind, stack, extract, tensor in (
+            (TensorKind.F, f, extract_EB, build_F_lower),
+            (TensorKind.G, g, extract_DH, build_G_upper),
+        ):
+            time, space = tensors._unpacked(kind, stack)
+            pairs = [extract(tensor(e[i], b[i])) for i in range(200)]
+            assert same_bits(time, [p[0] for p in pairs])
+            assert same_bits(space, [p[1] for p in pairs])
+
+    def test_index_moves(self, draws):
+        g, m, e, b = draws
+        f = [build_F_lower(e[i], b[i]) for i in range(200)]
+        up = [raise_field_tensor(f[i], g[i]) for i in range(200)]
+        f_stack = np.array([x.matrix for x in f])
+        up_stack = np.array([x.matrix for x in up])
+        raised = tensors._antisym(tensors._congruent(tensors._inverse(m), f_stack))
+        lowered = tensors._antisym(tensors._congruent(m, up_stack))
+        assert same_bits(raised, up_stack)
+        assert same_bits(lowered, [lower_field_tensor(up[i], g[i]).matrix for i in range(200)])
+
+    def test_duals(self, draws):
+        g, m, e, b = draws
+        s = np.array([sqrt_minus_det(x) for x in g])
+        f = tensors._packed(TensorKind.F, e, b)
+        d = tensors._packed(TensorKind.G, e, b)
+        assert same_bits(
+            tensors._f_dual(f, s), [dual_F(build_F_lower(e[i], b[i]), g[i]).matrix for i in range(200)]
+        )
+        expected = [dual_G(build_G_upper(e[i], b[i]), g[i]).matrix for i in range(200)]
+        assert same_bits((-0.5 * s)[:, None, None] * tensors._dual(d), expected)
+
+    def test_alternating(self, draws):
+        g, m, _, _ = draws
+        s = tensors.sqrt_minus(np.linalg.det(m))
+        for variance in Variance:
+            expected = [alternating_tensor(x, variance) for x in g]
+            assert same_bits(tensors._alternating(s, variance), expected)
+
+    def test_matvec(self, draws):
+        _, m, e, _ = draws
+        a = m[:, 1:, 1:]
+        assert same_bits(tensors._matvec(a, e), [a[i] @ e[i] for i in range(200)])

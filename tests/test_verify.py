@@ -24,7 +24,33 @@ from geomopt import (
     reconstruct_E_from_DH,
     reconstruct_H_from_EB,
 )
-from geomopt.sampling import random_antisymmetric4, random_symmetric_connection
+from geomopt import (
+    FieldTensor,
+    TensorKind,
+    Variance,
+    alternating_tensor,
+    apply_lambda,
+    coordinate_field,
+    dual_F,
+    extract_DH,
+    fourdim_constitutive,
+    geometrized_constitutive,
+    lambda_from_eps_mu,
+    levi_civita3,
+    lower_field_tensor,
+    metric_identity_residual,
+    metric_inverse,
+    plebanski_cartesian,
+    plebanski_curvilinear,
+    sqrt_minus_det,
+)
+from geomopt import verify
+from geomopt.sampling import (
+    random_antisymmetric4,
+    random_lorentzian_metric,
+    random_spd3,
+    random_symmetric_connection,
+)
 from geomopt.verify import (
     CheckResult,
     default_check_suite,
@@ -350,3 +376,197 @@ class TestDefaultSuite:
         good = CheckResult("x", 0.0, 1.0, passed=True)
         sneaky = CheckResult("control", 0.0, 1.0, passed=True, expected_fail=True)
         assert not suite_ok([good, sneaky])
+
+
+# ---------------------------------------------------------------------------
+# Per-draw reference loops for the batched checks.  These are the checks as
+# they were written before batching: one draw at a time through the scalar
+# public functions.  The batched checks must give the same residual bit for
+# bit and leave the generator in the same state.
+
+
+def ref_impedance_matching(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        material = plebanski_cartesian(random_lorentzian_metric(rng)).material
+        scale = max(float(np.abs(material.eps).max()), 1.0)
+        worst = max(
+            worst,
+            float(np.abs(material.eps - material.mu).max()) / scale,
+            float(np.abs(material.eps - material.eps.T).max()) / scale,
+        )
+    return worst
+
+
+def ref_oracle_equivalence(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        g = random_lorentzian_metric(rng)
+        e = rng.normal(size=3)
+        b = rng.normal(size=3)
+        f = build_F_lower(e, b)
+        d, h = extract_DH(fourdim_constitutive(g, MINKOWSKI, f))
+        scale = max(1.0, float(np.abs(e).max()), float(np.abs(h).max()))
+        worst = max(
+            worst,
+            float(np.abs(reconstruct_E_from_DH(g, d, h) - e).max()) / scale,
+            float(np.abs(reconstruct_H_from_EB(g, e, b) - h).max()) / scale,
+        )
+    return worst
+
+
+def ref_cancellation_residual(rng, symmetric):
+    f = random_antisymmetric4(rng)
+    df = rng.normal(size=(4, 4, 4))
+    df = 0.5 * (df - df.transpose(0, 2, 1))
+    gamma = random_symmetric_connection(rng) if symmetric else rng.normal(size=(4, 4, 4))
+    lhs = cyclic_covariant_sum(df, f, gamma, validate=False)
+    rhs = cyclic_partial_sum(df)
+    scale = max(
+        float(np.abs(gamma).max()) * float(np.abs(f).max()),
+        float(np.abs(df).max()),
+        1.0,
+    )
+    return float(np.abs(lhs - rhs).max()) / scale
+
+
+def ref_christoffel_cancellation(rng, draws):
+    return max(ref_cancellation_residual(rng, symmetric=True) for _ in range(draws))
+
+
+def ref_christoffel_control(rng, draws):
+    return min(ref_cancellation_residual(rng, symmetric=False) for _ in range(draws))
+
+
+def ref_metric_identity(rng, draws):
+    return max(metric_identity_residual(random_lorentzian_metric(rng)) for _ in range(draws))
+
+
+def ref_double_dual(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        g = random_lorentzian_metric(rng)
+        f = build_F_lower(rng.normal(size=3), rng.normal(size=3))
+        once = lower_field_tensor(dual_F(f, g), g)
+        twice = lower_field_tensor(dual_F(once, g), g)
+        scale = max(float(np.abs(f.matrix).max()), 1.0)
+        worst = max(worst, float(np.abs(twice.matrix + f.matrix).max()) / scale)
+    return worst
+
+
+def ref_alternating_contraction(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        g = random_lorentzian_metric(rng)
+        up = alternating_tensor(g, Variance.CONTRAVARIANT)
+        low = alternating_tensor(g, Variance.COVARIANT)
+        worst = max(worst, abs(float(np.einsum("abcd,abcd->", up, low)) + 24.0) / 24.0)
+    return worst
+
+
+def ref_lambda_equivalence(rng, draws):
+    sym3 = levi_civita3()
+    worst = 0.0
+    for i in range(draws):
+        if i % 2:
+            eps = np.diag(rng.uniform(0.5, 3.0, size=3))
+            mu = np.diag(rng.uniform(0.5, 3.0, size=3))
+        else:
+            eps = random_spd3(rng)
+            mu = random_spd3(rng)
+        f = FieldTensor(random_antisymmetric4(rng), Variance.CONTRAVARIANT, TensorKind.F)
+        got = apply_lambda(lambda_from_eps_mu(eps, mu), f).matrix
+        mu_inv = np.linalg.inv(mu)
+        top = eps @ f.matrix[0, 1:]
+        spatial = 0.5 * np.einsum("ijk,lmn,lk,mn->ij", sym3, sym3, mu_inv, f.matrix[1:, 1:])
+        expected = np.zeros((4, 4))
+        expected[0, 1:] = top
+        expected[1:, 0] = -top
+        expected[1:, 1:] = spatial
+        scale = max(float(np.abs(expected).max()), 1.0)
+        worst = max(worst, float(np.abs(got - expected).max()) / scale)
+    return worst
+
+
+def ref_curvilinear_reduction(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        g = random_lorentzian_metric(rng)
+        cart = plebanski_cartesian(g)
+        curv = plebanski_curvilinear(g, MINKOWSKI)
+        worst = max(
+            worst,
+            float(np.abs(cart.material.eps - curv.material.eps).max()),
+            float(np.abs(cart.material.w - curv.material.w).max()),
+        )
+    return worst
+
+
+def ref_spherical_identity(rng, draws):
+    field = coordinate_field("spherical")
+    worst = 0.0
+    for _ in range(draws):
+        point = np.array(
+            [rng.uniform(0.5, 3.0), rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.0, 2.0 * math.pi)]
+        )
+        gamma = field.metric_at(point)
+        res = plebanski_curvilinear(gamma, gamma)
+        e = rng.normal(size=3)
+        h = rng.normal(size=3)
+        d, b = geometrized_constitutive(res, e, h)
+        hinv = -metric_inverse(gamma).matrix[1:, 1:]
+        worst = max(worst, float(np.abs(d - hinv @ e).max()), float(np.abs(b - hinv @ h).max()))
+    return worst
+
+
+# The batched checks in suite order, each with its reference and draw count;
+# between them the suite makes no other draws.
+BATCHED_CHECKS = [
+    ("_check_impedance_matching", ref_impedance_matching, 1000),
+    ("_check_oracle_equivalence", ref_oracle_equivalence, 1000),
+    ("_check_christoffel_cancellation", ref_christoffel_cancellation, 1000),
+    ("_check_christoffel_control", ref_christoffel_control, 50),
+    ("_check_metric_identity", ref_metric_identity, 1000),
+    ("_check_double_dual", ref_double_dual, 1000),
+    ("_check_alternating_contraction", ref_alternating_contraction, 1000),
+    ("_check_lambda_equivalence", ref_lambda_equivalence, 1000),
+    ("_check_curvilinear_reduction", ref_curvilinear_reduction, 200),
+    ("_check_spherical_identity", ref_spherical_identity, 100),
+]
+
+
+@pytest.mark.parametrize("seed", [1729, 7, 99, 4242])
+def test_batched_checks_match_per_draw_reference(seed):
+    ref_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    for attr, reference, draws in BATCHED_CHECKS:
+        expected = reference(ref_rng, draws)
+        got = getattr(verify, attr)(rng, draws)
+        assert got.residual.hex() == expected.hex(), attr
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, attr
+
+
+class TestStackHelpers:
+    """The verify cores give N calls of the scalar public function, bit for bit."""
+
+    def test_reconstructions(self):
+        rng = np.random.default_rng(11)
+        g = [random_lorentzian_metric(rng) for _ in range(200)]
+        v, w = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
+        m = np.array([x.matrix for x in g])
+        s = np.array([sqrt_minus_det(x) for x in g])
+        e_from_dh = np.array([reconstruct_E_from_DH(g[i], v[i], w[i]) for i in range(200)])
+        h_from_eb = np.array([reconstruct_H_from_EB(g[i], w[i], v[i]) for i in range(200)])
+        assert verify._reconstruct(m, s, v, w, -1.0).tobytes() == e_from_dh.tobytes()
+        assert verify._reconstruct(m, s, v, w, 1.0).tobytes() == h_from_eb.tobytes()
+
+    def test_connection_terms(self):
+        rng = np.random.default_rng(12)
+        df = rng.normal(size=(200, 4, 4, 4))
+        f = rng.normal(size=(200, 4, 4))
+        gamma = rng.normal(size=(200, 4, 4, 4))
+        expected = np.array(
+            [cyclic_covariant_sum(df[i], f[i], gamma[i], validate=False) for i in range(200)]
+        )
+        got = cyclic_partial_sum(df) - verify._connection_terms(gamma, f)
+        assert got.tobytes() == expected.tobytes()
