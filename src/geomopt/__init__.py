@@ -27,6 +27,7 @@ from .errors import (
     MisalignedVelocity,
     NonFiniteMetric,
     NonLorentzian,
+    NonFiniteRay,
     NonNullLaunch,
     NonPositiveIndex,
     NonPositiveMedium,

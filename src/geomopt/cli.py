@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GeomOptError, NonFiniteMetric, NonPositiveIndex
+from .errors import ConfigError, GeomOptError, NonPositiveIndex
 from .geometrize import MetricField, coordinate_field, plebanski_stack
 from .raytrace import NULL_DRIFT_MAX, MediumCatalogEntry, catalog_entry, launch_state, trace_ray
 from .tensors import Metric4, sqrt_minus
@@ -45,7 +45,7 @@ def _finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-# Kept under this name: the benchmark times the sweep as cli.sweep_s through it.
+# Kept under this name: the benchmark times the ray fan as cli.sweep_s through it.
 def parallel_map(fn, items):
     """Serial, order-preserving map of ``fn`` over one sweep's items."""
     return [fn(item) for item in items]
@@ -301,20 +301,9 @@ def _write_csv(path: Path, header: list[str], columns: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sample(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked metrics over the points; NaN and a flag where the index is not
-    positive or the metric is not finite.  Overflow and invalid-value warnings are
-    silenced: such a metric is a flagged row, and p @ p = inf still gives the right n."""
-
-    def at(point: np.ndarray):
-        try:
-            return evaluate(point).matrix, "ok"
-        except (NonPositiveIndex, NonFiniteMetric) as exc:
-            return np.full((4, 4), math.nan), type(exc).__name__
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrices, flags = zip(*parallel_map(at, points))
-    return np.stack(matrices), np.array(flags, dtype=object)
+def _named(flags: np.ndarray) -> np.ndarray:
+    """The flag column: "ok", or the name of the error each point is flagged with."""
+    return np.array([f if f == "ok" else type(f).__name__ for f in flags], dtype=object)
 
 
 def cmd_geometrize(cfg: SceneConfig) -> int:
@@ -322,19 +311,13 @@ def cmd_geometrize(cfg: SceneConfig) -> int:
     _require(cfg.grid is not None, "grid: required in geometrize mode")
     gamma_field = coordinate_field(cfg.coordinates)
     points = cfg.grid.points()
-    g, flags = _sample(_metric_field(cfg, gamma_field).metric_at, points)
-    if cfg.coordinates == "cartesian":
-        sqrt_minus_gamma = np.ones(len(points))
-    else:
-        gamma, gamma_flags = _sample(gamma_field.metric_at, points)
-        sqrt_minus_gamma = np.full(len(points), math.nan)
-        sampled = gamma_flags == "ok"
-        sqrt_minus_gamma[sampled] = sqrt_minus(np.linalg.det(gamma[sampled]))
-        flags = np.where(flags == "ok", gamma_flags, flags)
+    g, flags = _metric_field(cfg, gamma_field).metrics(points)
+    gamma, gamma_flags = gamma_field.metrics(points)
+    flags = _named(np.where(flags == "ok", gamma_flags, flags))
     ok = flags == "ok"
     eps = np.full((len(points), 3, 3), math.nan)
     w = np.full((len(points), 3), math.nan)
-    eps[ok], w[ok], _, flags[ok] = plebanski_stack(g[ok], sqrt_minus_gamma[ok])
+    eps[ok], w[ok], _, flags[ok] = plebanski_stack(g[ok], sqrt_minus(np.linalg.det(gamma[ok])))
 
     valid = flags == "ok"
     negative = valid & (g[:, 0, 0] < 0.0)
@@ -370,10 +353,10 @@ def cmd_inverse(cfg: SceneConfig) -> int:
     _require(cfg.grid is not None, "grid: required in inverse mode")
     entry = _medium_entry(cfg.medium, "medium")
     points = cfg.grid.points()
-    g, flags = _sample(entry.metric_field().metric_at, points)
+    g, flags = entry.metric_field().metrics(points)
     rows, cols = np.triu_indices(4)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    columns = np.column_stack([points, g[:, rows, cols], flags])
+    columns = np.column_stack([points, g[:, rows, cols], _named(flags)])
     _write_csv(cfg.out_dir / "metric.csv", METRIC_HEADER, columns)
     print(f"inverse: wrote {len(points)} points to {cfg.out_dir / 'metric.csv'}")
     return 0
@@ -385,7 +368,7 @@ _STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 def _iso_contour_radii(entry: MediumCatalogEntry, r_max: float) -> list[float]:
     rs = np.linspace(0.0, r_max, 513)
-    ns = np.array([entry.index_at((r, 0.0, 0.0)) for r in rs])
+    ns = entry.index(np.outer(rs, [1.0, 0.0, 0.0]))
     lo, hi = float(ns.min()), float(ns.max())
     if hi - lo < 1e-12:
         return []

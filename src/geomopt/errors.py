@@ -24,6 +24,7 @@ __all__ = [
     "GridTooSmall",
     "UnnormalizedVelocity",
     "NonNullLaunch",
+    "NonFiniteRay",
     "ConfigError",
 ]
 
@@ -94,6 +95,10 @@ class UnnormalizedVelocity(GeomOptError):
 
 class NonNullLaunch(GeomOptError):
     """Initial wave covector is not null within tolerance."""
+
+
+class NonFiniteRay(GeomOptError):
+    """A ray's position or covector stopped being finite, for instance after a step that overflows."""
 
 
 class ConfigError(GeomOptError):

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .constitutive import MaterialTensors
-from .errors import NonLorentzian, NonPositiveIndex, SingularMetric, UnitIndexSingularity, ZeroG00
+from .errors import NonFiniteMetric, NonLorentzian, NonPositiveIndex, SingularMetric
+from .errors import UnitIndexSingularity, ZeroG00
 from .tensors import (
     FieldTensor,
     Metric4,
@@ -29,6 +29,7 @@ from .tensors import (
     Variance,
     _antisym,
     _congruent,
+    _inverse,
     _matvec,
     _max_abs,
     _singular,
@@ -169,71 +170,118 @@ def _fourdim(factor, ginv: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _antisym(np.asarray(factor)[..., None, None] * _congruent(ginv, f))
 
 
-def _positive_index(n: float) -> None:
-    """Raise NonPositiveIndex unless the refractive index n is finite and positive."""
-    if not (np.isfinite(n) and n > 0.0):
-        raise NonPositiveIndex(f"refractive index must be positive, got {n}")
+def _checked(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """``values``, unless a point is flagged: then the first flagged point's error is raised."""
+    for flag in flags:
+        if flag != "ok":
+            raise flag
+    return values
 
 
-def isotropic_metric_from_index(n: float) -> Metric4:
-    """Metric diag(1, -n^2, -n^2, -n^2) whose effective medium is eps = mu = n I."""
-    _positive_index(n)
-    n2 = float(n) * float(n)
-    return Metric4(np.diag([1.0, -n2, -n2, -n2]))
+_DIAGONAL = np.eye(4, dtype=bool)
+
+
+def _coordinate_metric(p: np.ndarray, b) -> np.ndarray:
+    """Metrics diag(1, -1, -r^2, -b), r = p[:, 0], of the spherical and cylindrical systems."""
+    d = np.stack(np.broadcast_arrays(1.0, -1.0, -(p[:, 0] * p[:, 0]), -b), axis=-1)
+    return np.where(_DIAGONAL, d[:, None, :], 0.0)
+
+
+def _inverting(metrics: Callable[[np.ndarray], np.ndarray]) -> "MetricField":
+    """MetricField of the metrics (N, 4, 4) at points (N, 3), inverted numerically:
+    flagged NonFiniteMetric, else SingularMetric where |det g| is below tolerance."""
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = metrics(points)
+        flags = np.full((2, len(g)), "ok", dtype=object)
+        finite = np.isfinite(g + g).all(axis=(1, 2))  # as in Metric4's 0.5 (g + g^T)
+        flags[:, ~finite] = NonFiniteMetric("metric entries must be finite")
+        ok = np.flatnonzero(finite)
+        det = np.linalg.det(g[ok])
+        singular = _singular(g[ok], det)
+        message = _FAILURES["SingularMetric"][1]
+        flags[1, ok[singular]] = [SingularMetric(message.format(det=float(x))) for x in det[singular]]
+        values = np.full((2,) + g.shape, math.nan)
+        values[0, ok] = g[ok]
+        values[1, ok[~singular]] = _inverse(g[ok[~singular]])
+        return values, flags
+
+    return MetricField(evaluate=evaluate)
+
+
+def _index_lift(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metrics diag(1, -n^2, -n^2, -n^2) and their inverses for the indices n (N,),
+    stacked and flagged as ``MetricField.evaluate`` returns them.  An inverse is
+    flagged only for its index: not positive, or so small that 1/n^2 overflows."""
+    n = np.asarray(n, dtype=float)
+    n2 = n * n
+    s = -1.0 / n2
+    d = np.ones((2, len(n), 4))
+    d[0, :, 1:], d[1, :, 1:] = -n2[:, None], s[:, None]
+    values = np.where(_DIAGONAL, d[..., None, :], 0.0)
+    flags = np.full((2, len(n)), "ok", dtype=object)
+    if not ((n > 0.0).all() and np.isfinite(d + d).all()):  # a cheap test passes most stacks
+        bad = ~(np.isfinite(n) & (n > 0.0))
+        flags[0, ~bad & ~np.isfinite(n2 + n2)] = NonFiniteMetric("metric entries must be finite")
+        small = ~bad & (s == -math.inf)
+        flags[1, small] = [
+            NonPositiveIndex(f"refractive index {x} is too small: 1/n^2 overflows") for x in n[small]
+        ]
+        flags[:, bad] = [NonPositiveIndex(f"refractive index must be positive, got {x}") for x in n[bad]]
+        values[flags != "ok"] = math.nan
+    return values, flags
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Static metric over space: a position (x, y, z) -> Metric4 evaluator.
+    """Static metric over space, evaluated on stacked points.
 
-    ``inverse_evaluate`` is an optional fast path returning the 4x4 inverse
-    matrix directly; when absent the inverse is computed numerically.
-    ``interface``, when given, is negative on one side of the one surface
-    where the metric's gradient jumps; the ray tracer splits steps there.
-    Evaluators must be pure functions of the point.
+    ``evaluate`` maps points (N, 3) to metrics and inverses, stacked (2, N, 4, 4),
+    and their flags (2, N): "ok", or the GeomOptError that the one-point view
+    :meth:`metric_at` or :meth:`inverse_at` raises there.  Flagged entries are
+    NaN; overflow is a flagged point, not a warning.  ``interface``, when given,
+    is negative on one side of the one surface where the metric's gradient
+    jumps; the ray tracer splits steps there.  Evaluators must be pure.
     """
 
-    evaluate: Callable[[np.ndarray], Metric4]
-    inverse_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     interface: Callable[[np.ndarray], float] | None = None
 
+    def metrics(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Metrics (N, 4, 4) at the points (N, 3), and their flags (N,)."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values, flags = self.evaluate(np.asarray(points, dtype=float))
+        return values[0], flags[0]
+
+    def inverses(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse metrics (N, 4, 4) at the points (N, 3), and their flags (N,)."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values, flags = self.evaluate(np.asarray(points, dtype=float))
+        return values[1], flags[1]
+
     def metric_at(self, point) -> Metric4:
-        return self.evaluate(np.asarray(point, dtype=float))
+        return Metric4(_checked(*self.metrics([point]))[0])
 
     def inverse_at(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if self.inverse_evaluate is not None:
-            return self.inverse_evaluate(p)
-        return metric_inverse(self.evaluate(p)).matrix
+        return _checked(*self.inverses([point]))[0]
 
     @classmethod
     def constant(cls, g: Metric4) -> "MetricField":
-        # Inverted on first use, so a singular constant metric fails only where inverted.
-        inverse = cache(lambda: metric_inverse(g).matrix)
-        return cls(evaluate=lambda p, _g=g: _g, inverse_evaluate=lambda p: inverse())
+        # Flagged, not raised: a singular constant metric fails only where inverted.
+        return _inverting(lambda points: np.broadcast_to(g.matrix, (len(points), 4, 4)))
+
+
+def isotropic_metric_from_index(n: float) -> Metric4:
+    """Metric diag(1, -n^2, -n^2, -n^2) whose effective medium is eps = mu = n I."""
+    return index_profile_field(lambda p: np.full(len(p), float(n))).metric_at(np.zeros(3))
 
 
 def index_profile_field(
-    profile: Callable[[np.ndarray], float],
+    profile: Callable[[np.ndarray], np.ndarray],
     interface: Callable[[np.ndarray], float] | None = None,
 ) -> MetricField:
-    """Pointwise lift of an isotropic index profile n(x, y, z) to a MetricField."""
-
-    def evaluate(p: np.ndarray) -> Metric4:
-        return isotropic_metric_from_index(profile(p))
-
-    def inverse_evaluate(p: np.ndarray) -> np.ndarray:
-        n = profile(p)
-        _positive_index(n)
-        s = -1.0 / (n * n) if n * n > 0.0 else -math.inf
-        if s == -math.inf:
-            raise NonPositiveIndex(f"refractive index {n} is too small: 1/n^2 overflows")
-        out = np.zeros((4, 4))
-        out[0, 0] = 1.0
-        out[1, 1] = out[2, 2] = out[3, 3] = s
-        return out
-
-    return MetricField(evaluate=evaluate, inverse_evaluate=inverse_evaluate, interface=interface)
+    """Pointwise lift of an isotropic index profile, points (N, 3) to indices (N,)."""
+    return MetricField(evaluate=lambda points: _index_lift(profile(points)), interface=interface)
 
 
 def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
@@ -245,7 +293,7 @@ def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
     this signature).  Raises UnitIndexSingularity when n^2 is within
     UNIT_INDEX_TOL of 1.
     """
-    _positive_index(n)
+    isotropic_metric_from_index(n)  # raises for an index it cannot lift
     denom = n * n - 1.0
     if abs(denom) <= UNIT_INDEX_TOL:
         raise UnitIndexSingularity(f"n = {n} is too close to 1")
@@ -267,16 +315,6 @@ def _metric_identity(m: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.abs(reduced @ ginv[..., 1:, 1:] - np.eye(3)).max(axis=(-2, -1))
 
 
-def _spherical_metric(p: np.ndarray) -> Metric4:
-    r, theta = p[0], p[1]
-    return Metric4(np.diag([1.0, -1.0, -(r * r), -((r * math.sin(theta)) ** 2)]))
-
-
-def _cylindrical_metric(p: np.ndarray) -> Metric4:
-    rho = p[0]
-    return Metric4(np.diag([1.0, -1.0, -(rho * rho), -1.0]))
-
-
 def coordinate_field(system: str) -> MetricField:
     """Coordinate metric gamma for a named system.
 
@@ -285,8 +323,8 @@ def coordinate_field(system: str) -> MetricField:
     """
     if system == "cartesian":
         return MetricField.constant(MINKOWSKI)
-    if system == "spherical":
-        return MetricField(evaluate=_spherical_metric)
+    if system == "spherical":  # float_power squares (r sin theta) as a scalar ** 2 does; a * a differs
+        return _inverting(lambda p: _coordinate_metric(p, np.float_power(p[:, 0] * np.sin(p[:, 1]), 2.0)))
     if system == "cylindrical":
-        return MetricField(evaluate=_cylindrical_metric)
+        return _inverting(lambda p: _coordinate_metric(p, 1.0))
     raise ValueError(f"unknown coordinate system {system!r}")

@@ -5,7 +5,8 @@ Rays are integrated in Hamiltonian form with H = (1/2) g^{ab} k_a k_b:
     dx^a / dlam = g^{ab} k_b,      dk_a / dlam = -(1/2) d_a g^{bc} k_b k_c,
 
 using a classical fixed-step fourth-order scheme.  Metric gradients come
-from central differences of the field's inverse-metric evaluator, so any
+from central differences of the field's inverse metric, evaluated in one
+stacked call at the ray's point and its six stencil points, so any
 user-supplied static metric works without analytic derivatives.  Because
 metrics here are time-independent, dk_0 vanishes identically and the
 frequency k_0 is conserved bit for bit.
@@ -21,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonNullLaunch
-from .geometrize import MetricField, _positive_index, index_profile_field
+from .errors import NonFiniteRay, NonNullLaunch
+from .geometrize import MetricField, _checked, index_profile_field, isotropic_metric_from_index
 
 __all__ = [
     "RayState",
@@ -136,6 +137,7 @@ def _in_bounds(p: np.ndarray, bounds) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(p, bounds))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends the ray as NonFiniteRay
 def trace_ray(
     field: MetricField,
     x0,
@@ -150,7 +152,8 @@ def trace_ray(
     ``bounds``, when given, is one (lo, hi) pair per spatial axis; a step
     that takes the ray from inside the box to outside ends the trajectory
     there with the exit flag set.  A ray launched outside the box runs on
-    until it has entered the box and left it again.
+    until it has entered the box and left it again.  A step whose position
+    or covector is not finite raises NonFiniteRay.
     Launch covectors must satisfy |H| <= NULL_TOL (relative to the quadratic
     scale); :func:`launch_state` projects a launch onto the null shell.
 
@@ -186,41 +189,47 @@ def trace_ray(
     def inside(p: np.ndarray) -> bool:
         return field.interface(p) < 0.0
 
-    stencil = GRAD_DELTA * np.concatenate([np.eye(3), -np.eye(3)])
+    # p itself, then its difference stencil in evaluation order: +x, -x, +y, -y, +z, -z.
+    stencil = GRAD_DELTA * np.array(
+        [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
+    )
 
     def where(p: np.ndarray) -> tuple[bool, bool]:
         """p's side of the surface, and whether p's difference stencil reaches across it."""
         here = inside(p)
-        return here, any(inside(q) != here for q in p + stencil)
+        return here, any(inside(q) != here for q in p + stencil[1:])
 
-    def rhs(xc: np.ndarray, kc: np.ndarray, side: bool | None) -> tuple[np.ndarray, np.ndarray]:
-        """dx/dlam and dk/dlam; with ``side`` given, straddling stencils go one-sided."""
-        p = xc[1:]
-        gi = field.inverse_at(p)
-        dk = np.zeros(4)
+    def rhs(xc: np.ndarray, kc: np.ndarray, side: bool | None):
+        """dx/dlam, dk/dlam and H; with ``side`` given, straddling stencils go one-sided.
 
-        def quad(q: np.ndarray) -> float:
-            return float(kc @ field.inverse_at(q) @ kc)
-
-        for i in range(3):
-            plus, minus = p + stencil[i], p + stencil[i + 3]
-            if side is not None and inside(plus) != inside(minus):
+        The inverse metric comes from one stacked call at p and its six
+        stencil points; the first flagged point, in that order, raises."""
+        points = xc[1:] + stencil
+        one_sided = []
+        for i in range(3) if side is not None else ():
+            plus, minus = points[2 * i + 1], points[2 * i + 2]
+            if inside(plus) != inside(minus):
                 # Second order, one-sided towards the stencil point on ``side``.
-                e = stencil[i] if inside(plus) == side else stencil[i + 3]
-                hc = float(kc @ gi @ kc)
-                dk[i + 1] = -(4.0 * quad(p + e) - 3.0 * hc - quad(p + 2.0 * e)) / (4.0 * e[i])
-            else:
-                dk[i + 1] = -(quad(plus) - quad(minus)) / (4.0 * GRAD_DELTA)
-        return gi @ kc, dk
+                e = stencil[2 * i + 1] if inside(plus) == side else stencil[2 * i + 2]
+                points[2 * i + 1], points[2 * i + 2] = points[0] + e, points[0] + 2.0 * e
+                one_sided.append((i, e[i]))
+        gi = _checked(*field.inverses(points))
+        q = (kc[None, None] @ gi @ kc[:, None])[:, 0, 0]  # each row, bit for bit kc @ M @ kc
+        dk = np.zeros(4)
+        dk[1:] = -(q[1::2] - q[2::2]) / (4.0 * GRAD_DELTA)
+        for i, width in one_sided:
+            dk[i + 1] = -(4.0 * q[2 * i + 1] - 3.0 * q[0] - q[2 * i + 2]) / (4.0 * width)
+        return gi[0] @ kc, dk, 0.5 * q[0]
 
     def rk4(xc, kc, width, side):
-        dx1, dk1 = rhs(xc, kc, side)
-        dx2, dk2 = rhs(xc + 0.5 * width * dx1, kc + 0.5 * width * dk1, side)
-        dx3, dk3 = rhs(xc + 0.5 * width * dx2, kc + 0.5 * width * dk2, side)
-        dx4, dk4 = rhs(xc + width * dx3, kc + width * dk3, side)
+        """The state one step of ``width`` on, and H at the start of the step."""
+        dx1, dk1, h = rhs(xc, kc, side)
+        dx2, dk2, _ = rhs(xc + 0.5 * width * dx1, kc + 0.5 * width * dk1, side)
+        dx3, dk3, _ = rhs(xc + 0.5 * width * dx2, kc + 0.5 * width * dk2, side)
+        dx4, dk4, _ = rhs(xc + width * dx3, kc + width * dk3, side)
         xn = xc + (width / 6.0) * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
         kn = kc + (width / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
-        return xn, kn
+        return xn, kn, h
 
     lam = np.empty(n_steps + 1)
     xs = np.empty((n_steps + 1, 4))
@@ -233,33 +242,36 @@ def trace_ray(
     in_box = bounds is not None and _in_bounds(x[1:], bounds)
     count = 0
     for istep in range(n_steps):
-        x_new, k_new = rk4(x, k, step, side if near else None)
+        # H at each sample comes from the first stage of the step that leaves it.
+        x_new, k_new, hs[count] = rk4(x, k, step, side if near else None)
         if side is not None:
             end_side, end_near = where(x_new[1:])
             if end_side != side:
                 lo, hi, x_lo, k_lo = 0.0, 1.0, x, k
                 while lo < (mid := 0.5 * (lo + hi)) < hi:
-                    xm, km = rk4(x, k, mid * step, side)
+                    xm, km, _ = rk4(x, k, mid * step, side)
                     if inside(xm[1:]) == side:
                         lo, x_lo, k_lo = mid, xm, km
                     else:
                         hi = mid
-                x_new, k_new = rk4(x_lo, k_lo, (1.0 - lo) * step, end_side)
+                x_new, k_new, _ = rk4(x_lo, k_lo, (1.0 - lo) * step, end_side)
                 end_side, end_near = where(x_new[1:])
             elif end_near and not near:
-                x_new, k_new = rk4(x, k, step, side)
+                x_new, k_new, _ = rk4(x, k, step, side)
             side, near = end_side, end_near
+        if not (np.isfinite(x_new).all() and np.isfinite(k_new).all()):
+            raise NonFiniteRay(f"ray position or covector is not finite after step {istep + 1}")
         x, k = x_new, k_new
         count = istep + 1
         lam[count] = count * step
         xs[count] = x
         ks[count] = k
-        hs[count] = hamiltonian(field.inverse_at(x[1:]), k)
         if bounds is not None:
             was_in_box, in_box = in_box, _in_bounds(x[1:], bounds)
             if was_in_box and not in_box:
                 exited = True
                 break
+    hs[count] = hamiltonian(field.inverse_at(x[1:]), k)
 
     end = count + 1
     return RayTrajectory(
@@ -270,35 +282,36 @@ def trace_ray(
 
 @dataclass(frozen=True)
 class MediumCatalogEntry:
-    """Named isotropic index profile."""
+    """Named isotropic index profile: points (N, 3) to indices n (N,)."""
 
     name: str
-    index: Callable[[np.ndarray], float]
+    index: Callable[[np.ndarray], np.ndarray]
     interface: Callable[[np.ndarray], float] | None = None  # where the gradient jumps
 
     def index_at(self, point) -> float:
-        return float(self.index(np.asarray(point, dtype=float)))
+        return float(self.index(np.asarray(point, dtype=float)[None])[0])
 
     def metric_field(self) -> MetricField:
         return index_profile_field(self.index, interface=self.interface)
 
 
+def _r2(p: np.ndarray) -> np.ndarray:
+    """|p|^2 of each point (N, 3), bit for bit the one-point p @ p."""
+    return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+
+
 def maxwell_fisheye() -> MediumCatalogEntry:
     """n(r) = 2 / (1 + r^2); every ray is a closed circle."""
-
-    def index(p: np.ndarray) -> float:
-        return 2.0 / (1.0 + float(p @ p))
-
-    return MediumCatalogEntry(name="maxwell_fisheye", index=index)
+    return MediumCatalogEntry(name="maxwell_fisheye", index=lambda p: 2.0 / (1.0 + _r2(p)))
 
 
 def luneburg_lens() -> MediumCatalogEntry:
     """n(r) = sqrt(2 - r^2) inside the unit ball, 1 outside; focuses parallel
     rays onto the opposite rim point."""
 
-    def index(p: np.ndarray) -> float:
-        r2 = float(p @ p)
-        return math.sqrt(2.0 - r2) if r2 <= 1.0 else 1.0
+    def index(p: np.ndarray) -> np.ndarray:
+        r2 = _r2(p)
+        return np.sqrt(np.where(r2 <= 1.0, 2.0 - r2, 1.0))
 
     return MediumCatalogEntry(
         name="luneburg", index=index, interface=lambda p: float(p @ p) - 1.0
@@ -307,12 +320,8 @@ def luneburg_lens() -> MediumCatalogEntry:
 
 def homogeneous_medium(n: float = 1.0) -> MediumCatalogEntry:
     """Constant index n; rays are straight lines at speed c/n."""
-    _positive_index(n)
-
-    def index(p: np.ndarray) -> float:
-        return float(n)
-
-    return MediumCatalogEntry(name="homogeneous", index=index)
+    isotropic_metric_from_index(n)  # raises for an index it cannot lift
+    return MediumCatalogEntry(name="homogeneous", index=lambda p: np.full(len(p), float(n)))
 
 
 def catalog() -> list[MediumCatalogEntry]:

@@ -424,6 +424,24 @@ class TestTraceCommand:
         assert sorted(p.name for p in out.iterdir()) == ["ray_000.csv", "rays.svg"]
         assert (out / "rays.svg").read_text().count("<polyline") == 1
 
+    @pytest.mark.parametrize("medium", ["homogeneous", "luneburg"])
+    def test_overflowing_ray_fails(self, tmp_path, capsys, medium):
+        # Steps of 1e308 carry the ray's position past the largest double.
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            {
+                "mode": "trace",
+                "medium": {"name": medium},
+                "rays": {"launches": [{"origin": [0, 0, 0], "direction": [1, 1, 0]}]},
+                "out_dir": str(out),
+            },
+        )
+        assert run(["--config", cfg, "--step", "1e308", "--steps", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ray 0: NonFiniteRay: ray position or covector is not finite after step ")
+        assert sorted(p.name for p in out.iterdir()) == ["rays.svg"]
+
     def test_drifting_ray_is_reported(self, tmp_path, capsys):
         # A fish-eye ray that runs out to large r, with a step too coarse for
         # the 1e-6 drift bound: max |H| reaches about 1.4e-5.

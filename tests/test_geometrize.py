@@ -14,6 +14,7 @@ from geomopt import (
     UnitIndexSingularity,
     ZeroG00,
     build_F_lower,
+    catalog,
     coordinate_field,
     extract_DH,
     fourdim_constitutive,
@@ -29,8 +30,10 @@ from geomopt import (
     plebanski_stack,
     raise_field_tensor,
     sqrt_minus_det,
+    trace_ray,
 )
 from geomopt import geometrize
+from geomopt.raytrace import GRAD_DELTA
 from geomopt.sampling import random_lorentzian_metric
 from geomopt.tensors import _inverse, sqrt_minus
 
@@ -340,7 +343,7 @@ class TestIndexLift:
         "lift",
         [
             isotropic_metric_from_index,
-            lambda n: index_profile_field(lambda p: n).inverse_at([0.0, 0.0, 0.0]),
+            lambda n: index_profile_field(lambda p: np.full(len(p), n)).inverse_at([0.0, 0.0, 0.0]),
             lambda n: leonhardt_velocity(Metric4(OFFSET_METRIC), n),
             homogeneous_medium,
         ],
@@ -354,10 +357,10 @@ class TestIndexLift:
     @pytest.mark.parametrize("n", [1e-160, 1e-200])  # 1/n^2 overflows; n^2 underflows
     def test_profile_field_rejects_vanishing_index(self, n):
         with pytest.raises(NonPositiveIndex, match="too small"):
-            index_profile_field(lambda p: n).inverse_at([0.0, 0.0, 0.0])
+            index_profile_field(lambda p: np.full(len(p), n)).inverse_at([0.0, 0.0, 0.0])
 
     def test_profile_field_lift(self):
-        field = index_profile_field(lambda p: 2.0 / (1.0 + float(p @ p)))
+        field = index_profile_field(lambda p: 2.0 / (1.0 + (p * p).sum(axis=1)))
         g0 = field.metric_at([0.0, 0.0, 0.0])
         assert np.array_equal(g0.matrix, np.diag([1.0, -4.0, -4.0, -4.0]))
         p = np.array([0.3, -0.2, 0.7])
@@ -405,11 +408,11 @@ def test_unknown_coordinate_system():
 
 
 class TestConstantMetricField:
-    def test_inverse_computed_once_on_first_use(self):
+    def test_inverse_is_the_same_at_every_point(self):
         field = MetricField.constant(Metric4(OFFSET_METRIC))
         first = field.inverse_at([0.0, 0.0, 0.0])
-        assert field.inverse_at([1.0, 2.0, 3.0]) is first
-        assert np.array_equal(first, metric_inverse(Metric4(OFFSET_METRIC)).matrix)
+        assert field.inverse_at([1.0, 2.0, 3.0]).tobytes() == first.tobytes()
+        assert first.tobytes() == metric_inverse(Metric4(OFFSET_METRIC)).matrix.tobytes()
 
     def test_singular_metric_fails_only_when_inverted(self):
         field = MetricField.constant(Metric4(np.diag([1.0, -1e-5, -1e-5, -1e-5])))
@@ -452,3 +455,71 @@ class TestStackHelpers:
         pairs = [geometrized_constitutive(plebanski_cartesian(g[i]), e[i], h[i]) for i in range(200)]
         assert d.tobytes() == np.array([p[0] for p in pairs]).tobytes()
         assert b.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+
+
+# Every catalog medium and coordinate system, and constant index profiles at
+# each index that fails: not positive, or too small for 1/n^2.
+FIELDS = {
+    **{entry.name: entry.metric_field() for entry in catalog()},
+    **{system: coordinate_field(system) for system in ("cartesian", "spherical", "cylindrical")},
+    **{
+        f"index {n}": index_profile_field(lambda p, n=n: np.full(len(p), n))
+        for n in (0.0, -1.0, math.nan, math.inf, 1e-160, 1e-200)
+    },
+}
+EDGE_POINTS = [
+    [1.0, 0.0, 0.0],     # r^2 = 1 exactly: the Luneburg rim
+    [0.0, -1.0, 0.0],
+    [0.0, 0.3, 0.0],     # spherical r = 0: a singular coordinate metric
+    [1e200, 0.5, 0.0],   # r^2 overflows
+    [0.0, 0.0, 0.0],
+]
+
+
+class TestStackedFace:
+    """``metrics``/``inverses`` over a stack give the one-point views bit for
+    bit, and each flag is the error the view raises."""
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_views_match_the_stack(self, name):
+        field = FIELDS[name]
+        points = np.concatenate([np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3)), EDGE_POINTS])
+        for stacked, view in (
+            (field.metrics, lambda p: field.metric_at(p).matrix),
+            (field.inverses, field.inverse_at),
+        ):
+            values, flags = stacked(points)
+            assert values.shape == (len(points), 4, 4) and flags.shape == (len(points),)
+            for p, value, flag in zip(points, values, flags):
+                if flag == "ok":
+                    assert view(p).tobytes() == value.tobytes()
+                    continue
+                assert np.isnan(value).all()
+                with pytest.raises(type(flag)) as caught:
+                    view(p)
+                assert str(caught.value) == str(flag)
+
+    def test_edge_points_raise_every_flag(self):
+        names = set()
+        for field in FIELDS.values():
+            for stacked in (field.metrics, field.inverses):
+                names |= {type(f).__name__ for f in stacked(EDGE_POINTS)[1] if f != "ok"}
+        assert names == {"NonPositiveIndex", "NonFiniteMetric", "SingularMetric"}
+
+    @pytest.mark.parametrize("failing", [(0, 3), (1,), (2,), (1, 2), (5, 2), (4, 3, 6), (6,)])
+    def test_tracer_raises_the_first_flagged_stencil_point(self, failing):
+        # Stencil points in evaluation order: p, +x, -x, +y, -y, +z, -z.
+        x0 = np.array([0.0, 0.1, 0.2, 0.3])
+        offsets = GRAD_DELTA * np.array(
+            [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
+        )
+
+        def index(p):
+            n = np.ones(len(p))
+            for j in failing:
+                n[(p == x0[1:] + offsets[j]).all(axis=1)] = -float(j)
+            return n
+
+        with pytest.raises(NonPositiveIndex) as caught:
+            trace_ray(index_profile_field(index), x0, [1.0, -1.0, 0.0, 0.0], 1e-3, 1)
+        assert str(caught.value) == f"refractive index must be positive, got {-float(min(failing))}"

@@ -388,13 +388,12 @@ class TestDefaultSuite:
 def ref_impedance_matching(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        material = plebanski_cartesian(random_lorentzian_metric(rng)).material
-        scale = max(float(np.abs(material.eps).max()), 1.0)
-        worst = max(
-            worst,
-            float(np.abs(material.eps - material.mu).max()) / scale,
-            float(np.abs(material.eps - material.eps.T).max()) / scale,
-        )
+        g = random_lorentzian_metric(rng)
+        eps = plebanski_cartesian(g).material.eps
+        fields = [build_F_lower(np.zeros(3), b) for b in np.eye(3)]
+        mu_inv = np.array([extract_DH(fourdim_constitutive(g, MINKOWSKI, f))[1] for f in fields]).T
+        scale = max(float(np.abs(mu_inv).max()) * float(np.abs(eps).max()), 1.0)
+        worst = max(worst, float(np.abs(mu_inv @ eps - np.eye(3)).max()) / scale)
     return worst
 
 
@@ -544,6 +543,20 @@ def test_batched_checks_match_per_draw_reference(seed):
         got = getattr(verify, attr)(rng, draws)
         assert got.residual.hex() == expected.hex(), attr
         assert rng.bit_generator.state == ref_rng.bit_generator.state, attr
+
+
+def test_impedance_matching_fails_when_eps_is_not_mu(monkeypatch):
+    # eps scaled by 1 + 1e-9 is still symmetric, but no longer the inverse of mu^{-1}.
+    stack = verify.plebanski_stack
+
+    def scaled(g, sqrt_minus_gamma):
+        eps, w, det, flags = stack(g, sqrt_minus_gamma)
+        return eps * (1.0 + 1e-9), w, det, flags
+
+    monkeypatch.setattr(verify, "plebanski_stack", scaled)
+    result = verify._check_impedance_matching(np.random.default_rng(1729), 1000)
+    assert not result.passed
+    assert result.residual > 1e-10
 
 
 class TestStackHelpers:
