@@ -11,8 +11,10 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,56 +53,140 @@ def parallel_map(fn, items):
     return [fn(item) for item in items]
 
 
-def _whole(raw) -> int:
+class Key(NamedTuple):
+    """One config key: its path ("rays.launches[].origin" is each launch's
+    origin), its reader (see ``_read``), its default and its flag.  A key left
+    out is read as its default; the reader of a required key refuses None.  A
+    flag's text is parsed as the default's type; a key with a ``shortcut``
+    takes a JSON object, or text that ``shortcut`` turns into the (path, value)
+    it sets."""
+
+    path: str
+    read: Callable
+    default: object = None
+    flag: str | None = None
+    help: str | None = None
+    shortcut: Callable | None = None
+    label: str | None = None
+
+
+def _read(data: dict, section: str, where: str) -> dict:
+    """The value of each key directly under ``section`` ("" for the top level),
+    read from ``data`` in table order.  A rule that fails raises ConfigError
+    under the key's full path ``where + name``; a TypeError, ValueError or
+    OverflowError of the reader is reported under the key's ``label``, else
+    that path.  A key with no row is refused."""
+    rows = {k.path.rpartition(".")[2]: k for k in KEYS if k.path.rpartition(".")[0] == section}
+    for name in data:
+        _require(name in rows, f"{where}{name}: unknown config key")
+    values = {}
+    for name, key in rows.items():
+        try:
+            values[name] = key.read(data.get(name, key.default), where + name)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key.label or where + name}: {exc}") from exc
+    return values
+
+
+class _Section:
+    """A config object, made from the values of its keys under ``SECTION``:
+    each is read through its row of KEYS, and a key with no row is refused."""
+
+    SECTION = ""
+
+    def __init__(self, **values) -> None:
+        for name, value in _read(values, self.SECTION, self.SECTION and f"{self.SECTION}.").items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_dict(cls, data):
+        _require(isinstance(data, dict), f"{cls.SECTION}: expected an object, got {data!r}")
+        return cls(**data)
+
+
+def _whole(raw, where=None) -> int:
     """int(raw) for an integer config value; a bool or a fraction is refused."""
     if isinstance(raw, bool) or (isinstance(raw, float) and raw != int(raw)):
         raise ValueError(f"expected a whole number, got {raw!r}")
     return int(raw)
 
 
-def _triple(data, key: str, default=None, *, cast=float):
-    raw = data.get(key, default)
-    _require(raw is not None, f"{key}: required")
-    _require(
-        isinstance(raw, (list, tuple)) and len(raw) == 3,
-        f"{key}: expected 3 values, got {raw!r}",
-    )
-    try:
-        return tuple(cast(v) for v in raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _count(raw, where: str) -> int:
+    n = _whole(raw)
+    _require(n >= 1, f"{where}: must be >= 1, got {n}")
+    return n
 
 
-@dataclass(frozen=True)
-class GridSpec:
+def _positive(raw, where: str) -> float:
+    value = float(raw)
+    _require(math.isfinite(value) and value > 0.0, f"{where}: must be finite and > 0, got {value}")
+    return value
+
+
+def _triple(raw, where: str, cast=float) -> tuple:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
+        raise ValueError("required" if raw is None else f"expected 3 values, got {raw!r}")
+    return tuple(cast(v) for v in raw)
+
+
+def _resolution(raw, where: str) -> tuple:
+    counts = _triple(raw, where, _whole)
+    return tuple(_count(n, f"{where}[{axis}]") for axis, n in enumerate(counts))
+
+
+def _mode(raw, where: str) -> str:
+    _require(raw is not None, f"{where}: required (subcommand or config key)")
+    _require(raw in MODES, f"{where}: must be one of {', '.join(MODES)}, got {raw!r}")
+    return raw
+
+
+def _coordinates(raw, where: str) -> str:
+    _require(raw in ("cartesian", "spherical", "cylindrical"), f"{where}: unknown system {raw!r}")
+    return raw
+
+
+def _object(raw, where: str) -> dict | None:
+    _require(raw is None or isinstance(raw, dict), f"{where}: expected an object")
+    return raw
+
+
+def _launches(raw, where: str) -> tuple:
+    """(origin, direction) per launch object."""
+    _require(isinstance(raw, list) and raw, f"{where}: required list")
+    launches = []
+    for i, item in enumerate(raw):
+        at = f"{where}[{i}]"
+        _require(isinstance(item, dict), f"{at}: expected an object with origin and direction")
+        origin, direction = _read(item, "rays.launches[]", f"{at}.").values()
+        _require(_finite(origin + direction), f"{at}: origin and direction must be finite")
+        _require(any(direction), f"{at}.direction: must be nonzero")
+        launches.append((origin, direction))
+    return tuple(launches)
+
+
+@dataclass(frozen=True, init=False)
+class GridSpec(_Section):
     """Uniform spatial sampling box: origin, extents and points per axis."""
 
+    SECTION = "grid"
     origin: tuple[float, float, float]
     extents: tuple[float, float, float]
     resolution: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
+    def __init__(self, **values) -> None:
+        super().__init__(**values)
         _require(
             _finite(self.origin + self.extents),
             f"grid: origin and extents must be finite, got {self.origin}, {self.extents}",
         )
         for axis in range(3):
-            n = self.resolution[axis]
-            _require(n >= 1, f"grid.resolution[{axis}]: must be >= 1, got {n}")
-            if n >= 2:
+            if self.resolution[axis] >= 2:
                 _require(
                     self.extents[axis] > 0.0,
                     f"grid.extents[{axis}]: must be > 0 for a sampled axis",
                 )
-
-    @classmethod
-    def from_dict(cls, data) -> "GridSpec":
-        _require(isinstance(data, dict), f"grid: expected an object, got {data!r}")
-        return cls(
-            origin=_triple(data, "origin", default=[0.0, 0.0, 0.0]),
-            extents=_triple(data, "extents", default=[1.0, 1.0, 1.0]),
-            resolution=_triple(data, "resolution", default=[2, 2, 1], cast=_whole),
-        )
 
     def axis_coords(self, axis: int) -> np.ndarray:
         n = self.resolution[axis]
@@ -124,70 +210,21 @@ class GridSpec:
         return out
 
 
-@dataclass(frozen=True)
-class RaySpec:
+@dataclass(frozen=True, init=False)
+class RaySpec(_Section):
     """Launch points and integrator settings for the trace mode."""
 
+    SECTION = "rays"
     launches: tuple[tuple[tuple, tuple], ...]
-    step: float = 1e-3
-    steps: int = 1000
-    frequency: float = 1.0
-    project_null: bool = True
-
-    def __post_init__(self) -> None:
-        _require(
-            math.isfinite(self.step) and self.step > 0.0,
-            f"rays.step: must be finite and > 0, got {self.step}",
-        )
-        _require(self.steps >= 1, f"rays.steps: must be >= 1, got {self.steps}")
-        _require(
-            math.isfinite(self.frequency),
-            f"rays.frequency: must be finite, got {self.frequency}",
-        )
-        _require(len(self.launches) >= 1, "rays.launches: need at least one launch")
-        for i, (origin, direction) in enumerate(self.launches):
-            _require(
-                _finite(origin + direction),
-                f"rays.launches[{i}]: origin and direction must be finite",
-            )
-            _require(any(direction), f"rays.launches[{i}].direction: must be nonzero")
-
-    @classmethod
-    def from_dict(cls, data) -> "RaySpec":
-        _require(isinstance(data, dict), f"rays: expected an object, got {data!r}")
-        raw = data.get("launches")
-        _require(isinstance(raw, list) and raw, "rays.launches: required list")
-        launches = []
-        for i, item in enumerate(raw):
-            _require(
-                isinstance(item, dict),
-                f"rays.launches[{i}]: expected an object with origin and direction",
-            )
-            launches.append(
-                (
-                    _triple(item, "origin", default=[0.0, 0.0, 0.0]),
-                    _triple(item, "direction"),
-                )
-            )
-        try:
-            step = float(data.get("step", 1e-3))
-            steps = _whole(data.get("steps", 1000))
-            frequency = float(data.get("frequency", 1.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"rays: {exc}") from exc
-        project_null = data.get("project_null", True)
-        _require(isinstance(project_null, bool), "rays.project_null: expected true or false")
-        return cls(
-            launches=tuple(launches),
-            step=step,
-            steps=steps,
-            frequency=frequency,
-            project_null=project_null,
-        )
+    step: float
+    steps: int
+    frequency: float
 
 
-@dataclass(frozen=True)
-class SceneConfig:
+@dataclass(frozen=True, init=False)
+class SceneConfig(_Section):
+    """A scene: its mode and every top-level key."""
+
     mode: str
     out_dir: Path
     seed: int
@@ -199,58 +236,49 @@ class SceneConfig:
     rays: RaySpec | None
 
     @classmethod
-    def from_dict(cls, data: dict, mode: str | None) -> "SceneConfig":
+    def from_dict(cls, data: dict, mode: str | None = None) -> "SceneConfig":
         _require(isinstance(data, dict), "config: expected a JSON object")
-        known = {
-            "mode", "out_dir", "seed", "c", "coordinates",
-            "metric", "medium", "grid", "rays",
-        }
-        for key in data:
-            _require(key in known, f"{key}: unknown config key")
-        mode = mode or data.get("mode")
-        _require(mode is not None, "mode: required (subcommand or config key)")
-        _require(mode in MODES, f"mode: must be one of {', '.join(MODES)}, got {mode!r}")
-        coordinates = data.get("coordinates", "cartesian")
-        _require(
-            coordinates in ("cartesian", "spherical", "cylindrical"),
-            f"coordinates: unknown system {coordinates!r}",
-        )
-        try:
-            seed = _whole(data.get("seed", DEFAULT_SEED))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"seed: {exc}") from exc
-        try:
-            c = float(data.get("c", 1.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"c: {exc}") from exc
-        _require(math.isfinite(c) and c > 0.0, f"c: must be finite and > 0, got {c}")
-        grid = GridSpec.from_dict(data["grid"]) if "grid" in data else None
-        rays = RaySpec.from_dict(data["rays"]) if "rays" in data else None
-        metric = data.get("metric")
-        medium = data.get("medium")
-        if metric is not None:
-            _require(isinstance(metric, dict), "metric: expected an object")
-        if medium is not None:
-            _require(isinstance(medium, dict), "medium: expected an object")
-        return cls(
-            mode=mode,
-            out_dir=Path(data.get("out_dir", "out")),
-            seed=seed,
-            c=c,
-            coordinates=coordinates,
-            metric=metric,
-            medium=medium,
-            grid=grid,
-            rays=rays,
-        )
+        return cls(**(data | {"mode": mode} if mode else data))
+
+
+# Every config key, read in this order within its object.
+KEYS = (
+    Key("mode", _mode),
+    Key("coordinates", _coordinates, "cartesian"),
+    Key("seed", _whole, DEFAULT_SEED, "--seed", "seed for the verify suite"),
+    Key("c", _positive, 1.0, "--c", "speed of light"),
+    Key(
+        "grid", lambda raw, _: None if raw is None else GridSpec.from_dict(raw), None,
+        "--grid", "grid as JSON or as nx,ny,nz",
+        shortcut=lambda text: ("grid.resolution", [int(v) for v in text.split(",")]),
+    ),
+    Key("grid.origin", _triple, (0.0, 0.0, 0.0), label="origin"),
+    Key("grid.extents", _triple, (1.0, 1.0, 1.0), label="extents"),
+    Key("grid.resolution", _resolution, (2, 2, 1), label="resolution"),
+    Key("rays", lambda raw, _: None if raw is None else RaySpec.from_dict(raw)),
+    Key("rays.step", _positive, 1e-3, "--step", "ray integrator step", label="rays"),
+    Key("rays.steps", _count, 1000, "--steps", "ray integrator step count", label="rays"),
+    Key("rays.frequency", _positive, 1.0, label="rays"),
+    Key("rays.launches", _launches),
+    Key("rays.launches[].origin", _triple, (0.0, 0.0, 0.0), label="origin"),
+    Key("rays.launches[].direction", _triple, label="direction"),
+    Key(
+        "metric", _object, None, "--metric", "metric as JSON or a catalog index name",
+        shortcut=lambda text: ("metric", {"index": {"name": text}}),
+    ),
+    Key(
+        "medium", _object, None, "--medium", "medium as JSON or a catalog name",
+        shortcut=lambda text: ("medium", {"name": text}),
+    ),
+    Key("out_dir", lambda raw, _: Path(raw), Path("out"), "--out-dir", "output directory"),
+)
 
 
 def _medium_entry(spec: dict | None, where: str) -> MediumCatalogEntry:
     _require(spec is not None, f"{where}: required")
     _require(isinstance(spec, dict) and "name" in spec, f"{where}.name: required")
-    params = {k: v for k, v in spec.items() if k != "name"}
     try:
-        return catalog_entry(spec["name"], **params)
+        return catalog_entry(**spec)
     except KeyError as exc:
         raise ConfigError(f"{where}.name: {exc.args[0]}") from exc
     except (TypeError, ValueError, NonPositiveIndex) as exc:
@@ -348,8 +376,17 @@ def cmd_geometrize(cfg: SceneConfig) -> int:
     return 0
 
 
+def _cartesian(cfg: SceneConfig) -> None:
+    """inverse and trace read Cartesian points only."""
+    _require(
+        cfg.coordinates == "cartesian",
+        f"coordinates: {cfg.mode} mode takes only cartesian, got {cfg.coordinates!r}",
+    )
+
+
 def cmd_inverse(cfg: SceneConfig) -> int:
     """Lift an isotropic index profile to metric samples; write metric.csv."""
+    _cartesian(cfg)
     _require(cfg.grid is not None, "grid: required in inverse mode")
     entry = _medium_entry(cfg.medium, "medium")
     points = cfg.grid.points()
@@ -426,21 +463,15 @@ def _write_svg(path: Path, trajectories, entry, grid: GridSpec | None) -> None:
 def cmd_trace(cfg: SceneConfig) -> int:
     """Trace the configured rays; one CSV per ray plus a combined SVG.  Exits 1
     when a ray fails (no CSV) or its max |H| passes NULL_DRIFT_MAX (CSV kept)."""
+    _cartesian(cfg)
     _require(cfg.rays is not None, "rays: required in trace mode")
     entry = _medium_entry(cfg.medium, "medium")
     field = entry.metric_field()
     bounds = cfg.grid.bounds() if cfg.grid is not None else None
 
     def one(launch):
-        origin, direction = launch
         try:
-            state = launch_state(
-                field,
-                origin,
-                direction,
-                frequency=cfg.rays.frequency,
-                project=cfg.rays.project_null,
-            )
+            state = launch_state(field, *launch, frequency=cfg.rays.frequency)
             return trace_ray(
                 field, state.x, state.k, cfg.rays.step, cfg.rays.steps, bounds=bounds
             )
@@ -484,16 +515,6 @@ def cmd_verify(cfg: SceneConfig) -> int:
     return 0 if ok else 1
 
 
-def _parse_inline(raw: str, what: str) -> dict:
-    raw = raw.strip()
-    if raw.startswith("{"):
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
-    return {"name": raw}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="geomopt",
@@ -502,76 +523,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("mode", nargs="?", choices=MODES, help="command to run")
     p.add_argument("--config", type=Path, help="JSON scene configuration")
-    p.add_argument("--out-dir", help="output directory")
-    p.add_argument("--seed", type=int, help="seed for the verify suite")
-    p.add_argument("--step", type=float, help="ray integrator step")
-    p.add_argument("--steps", type=int, help="ray integrator step count")
-    p.add_argument("--grid", help="grid as JSON or as nx,ny,nz")
-    p.add_argument("--metric", help="metric as JSON or a catalog index name")
-    p.add_argument("--medium", help="medium as JSON or a catalog name")
-    p.add_argument("--c", type=float, help="speed of light")
+    for key in KEYS:
+        if key.flag is not None:
+            kind = str if key.shortcut else type(key.default)
+            p.add_argument(key.flag, dest=key.path, type=kind, help=key.help)
     return p
+
+
+def _flag_value(key: Key, text: str) -> tuple[str, object]:
+    """The (path, value) that a shortcut key's flag text sets."""
+    text = text.strip()
+    try:
+        return (key.path, json.loads(text)) if text.startswith("{") else key.shortcut(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{key.path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key.path}: {exc}") from exc
 
 
 def load_config(args: argparse.Namespace) -> SceneConfig:
     data: dict = {}
     if args.config is not None:
         try:
-            text = args.config.read_text(encoding="utf-8")
+            data = json.loads(args.config.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        try:
-            data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+            message = f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            raise ConfigError(f"config: {message}") from exc
         _require(isinstance(data, dict), "config: top level must be a JSON object")
 
-    if args.out_dir is not None:
-        data["out_dir"] = args.out_dir
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.c is not None:
-        data["c"] = args.c
-    if args.step is not None or args.steps is not None:
-        rays = dict(data.get("rays", {}))
-        if args.step is not None:
-            rays["step"] = args.step
-        if args.steps is not None:
-            rays["steps"] = args.steps
-        data["rays"] = rays
-    if args.grid is not None:
-        raw = args.grid.strip()
-        if raw.startswith("{"):
-            data["grid"] = _parse_inline(raw, "grid")
-        else:
-            try:
-                resolution = [int(v) for v in raw.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"grid: {exc}") from exc
-            grid = dict(data.get("grid", {}))
-            grid["resolution"] = resolution
-            data["grid"] = grid
-    if args.metric is not None:
-        raw = args.metric.strip()
-        if raw.startswith("{"):
-            data["metric"] = _parse_inline(raw, "metric")
-        else:
-            data["metric"] = {"index": {"name": raw}}
-    if args.medium is not None:
-        data["medium"] = _parse_inline(args.medium, "medium")
-
+    for key in KEYS:
+        if key.flag is None or (value := getattr(args, key.path)) is None:
+            continue
+        path, value = _flag_value(key, value) if key.shortcut else (key.path, value)
+        section, _, name = path.rpartition(".")
+        if section:
+            inner = data.get(section)
+            if inner is not None and not isinstance(inner, dict):
+                continue  # the section's reader refuses it
+            value = {**(inner or {}), name: value}
+        data[section or name] = value
     return SceneConfig.from_dict(data, args.mode)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     commands = {
         "geometrize": cmd_geometrize,
         "inverse": cmd_inverse,
@@ -579,6 +576,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        cfg = load_config(args)
         return commands[cfg.mode](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

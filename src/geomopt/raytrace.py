@@ -113,14 +113,11 @@ def project_to_null(g_inv, k) -> np.ndarray:
     return k
 
 
-def launch_state(
-    field: MetricField, origin, direction, *, frequency: float = 1.0,
-    project: bool = True,
-) -> RayState:
+def launch_state(field: MetricField, origin, direction, *, frequency: float = 1.0) -> RayState:
     """Launch at spatial ``origin`` moving along ``direction``.
 
-    The covector starts as (frequency, -frequency * unit direction) and, with
-    ``project=True``, is rescaled onto the null shell of the local metric.
+    The covector starts as (frequency, -frequency * unit direction) and is
+    rescaled onto the null shell of the local metric.
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -128,8 +125,7 @@ def launch_state(
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     k = np.concatenate(([frequency], -frequency * direction / norm))
-    if project:
-        k = project_to_null(field.inverse_at(origin), k)
+    k = project_to_null(field.inverse_at(origin), k)
     return RayState(x=np.concatenate(([0.0], origin)), k=k)
 
 

@@ -83,7 +83,8 @@ class Metric4:
     """Symmetric 4x4 metric g_{ab}.
 
     Input must be symmetric to 1e-12 relative; the stored matrix is the
-    exactly symmetric average (a no-op for exactly symmetric input).
+    exactly symmetric average (a no-op for exactly symmetric input).  Each
+    sum g_ab + g_ba must be finite, else NonFiniteMetric is raised.
     """
 
     matrix: np.ndarray
@@ -92,12 +93,14 @@ class Metric4:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"metric must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            twice = m + m.T  # inf where an entry passes half the largest double
+            asymmetry = float(np.abs(m - m.T).max())
+        if not np.all(np.isfinite(twice)):
             raise NonFiniteMetric("metric entries must be finite")
-        scale = max(float(np.abs(m).max()), 1.0)
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+        if asymmetry > 1e-12 * max(float(np.abs(m).max()), 1.0):
             raise ValueError("metric must be symmetric")
-        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.T)))
+        object.__setattr__(self, "matrix", _frozen(0.5 * twice))
 
     @property
     def det(self) -> float:

@@ -381,7 +381,8 @@ class TestTraceCommand:
         assert xs[0] == -1.5
         assert xs[-1] > 1.0 and all(x <= 1.0 for x in xs[:-1])
 
-    def test_non_null_launch_reported(self, tmp_path, capsys):
+    def test_project_null_is_an_unknown_key(self, tmp_path, capsys):
+        # Every launch is projected onto the null shell; the key that skipped it is gone.
         cfg = self.trace_config(
             tmp_path,
             medium={"name": "homogeneous", "n": 2.0},
@@ -392,8 +393,9 @@ class TestTraceCommand:
                 "project_null": False,
             },
         )
-        assert run(["--config", cfg]) == 1
-        assert "NonNullLaunch" in capsys.readouterr().out
+        assert run(["--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: rays.project_null: unknown config key\n"
+        assert not (tmp_path / "out").exists()
 
     def test_failing_rays_do_not_abort_the_fan(self, tmp_path, capsys):
         # Ray 1 runs out along a diameter of the fish-eye until n^2 underflows;
@@ -499,8 +501,11 @@ class TestTraceCommand:
     @pytest.mark.parametrize(
         "overrides, where",
         [
-            ({"rays": {"launches": ALONG_X, "project_null": "false"}}, "rays.project_null"),
-            ({"rays": {"launches": ALONG_X, "project_null": 0}}, "rays.project_null"),
+            ({"rays": {"launches": ALONG_X, "step_count": 3}}, "rays.step_count: unknown config key"),
+            (
+                {"rays": {"launches": [{**ALONG_X[0], "frequncy": 2}]}},
+                "rays.launches[0].frequncy: unknown config key",
+            ),
             ({"rays": {"launches": ALONG_X, "steps": 3.9}}, "rays:"),
             ({"rays": {"launches": ALONG_X, "steps": True}}, "rays:"),
             ({"grid": {"resolution": [2.9, 1, 1]}}, "resolution"),

@@ -89,6 +89,8 @@ CASES = [
     ("grid-required-geometrize", [], {"mode": "geometrize", "metric": {"matrix": ETA}},
      "grid: required in geometrize mode"),
     ("grid-required-inverse", ["inverse", "--medium", "luneburg"], None, "grid: required in inverse mode"),
+    ("grid-null", [], inverse(grid=None), "grid: required in inverse mode"),
+    ("rays-null", [], trace() | {"rays": None}, "rays: required in trace mode"),
     # metric
     ("metric-required", ["geometrize", "--grid", "1,1,1"], None, "metric: required for this mode"),
     ("metric-none-of", [], geometrize(metric={}), "metric: give exactly one of matrix, index, coordinate_vacuum"),
@@ -162,9 +164,32 @@ CASES = [
     ("steps-zero", [], trace(steps=0), "rays.steps: must be >= 1, got 0"),
     ("steps-flag-zero", ["--steps", "0"], trace(), "rays.steps: must be >= 1, got 0"),
     ("frequency-text", [], trace(frequency="x"), "rays: could not convert string to float: 'x'"),
-    ("frequency-nan", [], trace(frequency="nan"), "rays.frequency: must be finite, got nan"),
-    ("project-null-text", [], trace(project_null="false"), "rays.project_null: expected true or false"),
-    ("project-null-number", [], trace(project_null=0), "rays.project_null: expected true or false"),
+    ("frequency-nan", [], trace(frequency="nan"), "rays.frequency: must be finite and > 0, got nan"),
+    ("frequency-negative", [], trace(frequency=-1), "rays.frequency: must be finite and > 0, got -1.0"),
+    ("frequency-zero", [], trace(frequency=0), "rays.frequency: must be finite and > 0, got 0.0"),
+    ("project-null-text", [], trace(project_null="false"), "rays.project_null: unknown config key"),
+    ("project-null-bool", [], trace(project_null=False), "rays.project_null: unknown config key"),
+    # unknown keys are refused at every level
+    ("grid-unknown-key", [], geometrize(grid={"resolutoin": [5, 5, 5]}), "grid.resolutoin: unknown config key"),
+    ("grid-flag-unknown-key", ["inverse", "--medium", "luneburg", "--grid", '{"resolutoin": [5,5,5]}'], None,
+     "grid.resolutoin: unknown config key"),
+    ("rays-unknown-key", [], trace(step_count=10), "rays.step_count: unknown config key"),
+    ("launch-unknown-key", [], launch(direction=[1, 0, 0], frequncy=2), "rays.launches[0].frequncy: unknown config key"),
+    ("launch-unknown-key-second", [], trace(launches=ALONG_X + [{"direction": [0, 1, 0], "dir": 1}]),
+     "rays.launches[1].dir: unknown config key"),
+    # inverse and trace read Cartesian points only
+    ("coordinates-inverse", [], inverse(coordinates="spherical"),
+     "coordinates: inverse mode takes only cartesian, got 'spherical'"),
+    ("coordinates-trace", [], trace() | {"coordinates": "cylindrical"},
+     "coordinates: trace mode takes only cartesian, got 'cylindrical'"),
+    # a metric whose symmetrized entries overflow
+    ("metric-flag-overflow", ["geometrize", "--grid", "1,1,1", "--metric",
+                              '{"matrix": [[1,0,0,0],[0,-1e308,0,0],[0,0,-1,0],[0,0,0,-1]]}'], None,
+     "metric.matrix: metric entries must be finite"),
+    # values that were tracebacks: a non-string output directory, a flag into a non-object section
+    ("out-dir-number", ["verify"], {"out_dir": 5}, "out_dir: expected str, bytes or os.PathLike object, not int"),
+    ("rays-not-object-step-flag", ["--step", "0.1"], trace() | {"rays": 5}, "rays: expected an object, got 5"),
+    ("grid-not-object-grid-flag", ["--grid", "2,2,1"], geometrize(grid=[2]), "grid: expected an object, got [2]"),
 ]
 
 

@@ -58,11 +58,6 @@ class TestNullProjection:
         assert_allclose(state.k, [1.0, -2.0, 0.0, 0.0], atol=1e-14)
         assert_allclose(state.x, [0.0, 0.0, 0.0, 0.0])
 
-    def test_launch_state_raw(self):
-        field = homogeneous_medium(2.0).metric_field()
-        state = launch_state(field, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], project=False)
-        assert_allclose(state.k, [1.0, -1.0, 0.0, 0.0])
-
     def test_projection_lands_on_shell(self, rng):
         # whenever constant-time surfaces are spacelike (inverse spatial
         # block negative definite, g^00 > 0) the projection must succeed
@@ -158,11 +153,25 @@ class TestTraceRay:
             trace_ray(field, [0.0, 0, 0, 0], [1.0, -1, 0, 0], 1e-3, 0)
 
 
+@pytest.fixture(scope="module")
+def fisheye_orbit():
+    """One fish-eye launch traced for 20000 steps of 1e-3: three full orbits."""
+    field = maxwell_fisheye().metric_field()
+    state = launch_state(field, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0])
+    return trace_ray(field, state.x, state.k, 1e-3, 20000)
+
+
+def first_steps(tr, n_steps):
+    """The trajectory of the first ``n_steps`` steps: equal to tracing only that far."""
+    n = n_steps + 1
+    return dataclasses.replace(
+        tr, lam=tr.lam[:n], x=tr.x[:n], k=tr.k[:n], hamiltonians=tr.hamiltonians[:n]
+    )
+
+
 class TestFisheye:
-    def test_orbit_is_circle(self):
-        field = maxwell_fisheye().metric_field()
-        state = launch_state(field, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0])
-        tr = trace_ray(field, state.x, state.k, 1e-3, 7000)
+    def test_orbit_is_circle(self, fisheye_orbit):
+        tr = first_steps(fisheye_orbit, 7000)
         center, radius, dev = fit_circle(tr.x[:, 1:3])
         assert dev < 1e-3
         assert center[0] == pytest.approx(-0.75, abs=1e-3)
@@ -183,20 +192,16 @@ class TestFisheye:
         normal = normal / np.linalg.norm(normal)
         assert np.abs(tr.x[:, 1:] @ normal).max() < 1e-9
 
-    def test_orbit_closes(self):
-        field = maxwell_fisheye().metric_field()
-        state = launch_state(field, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0])
-        tr = trace_ray(field, state.x, state.k, 1e-3, 7000)
+    def test_orbit_closes(self, fisheye_orbit):
+        tr = first_steps(fisheye_orbit, 7000)
         dist = np.hypot(tr.x[:, 1] - 0.5, tr.x[:, 2])
         far = int(np.argmax(dist))
         assert dist[far] > 1.0   # actually left the neighbourhood
         assert dist[far:].min() < 1e-2
 
-    def test_drift_over_long_trace(self):
+    def test_drift_over_long_trace(self, fisheye_orbit):
         # three full orbits, affine length 20
-        field = maxwell_fisheye().metric_field()
-        state = launch_state(field, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0])
-        tr = trace_ray(field, state.x, state.k, 1e-3, 20000)
+        tr = fisheye_orbit
         assert tr.max_null_drift < 1e-6
         # still on the same circle after three periods
         _, radius, dev = fit_circle(tr.x[:, 1:3])

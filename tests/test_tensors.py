@@ -10,6 +10,7 @@ from geomopt import (
     MINKOWSKI,
     FieldTensor,
     Metric4,
+    NonFiniteMetric,
     NonLorentzian,
     SingularMetric,
     TensorKind,
@@ -79,6 +80,11 @@ class TestMetricTypes:
         m = np.diag([1.0, -1.0, -1.0, np.nan])
         with pytest.raises(ValueError):
             Metric4(m)
+
+    def test_rejects_overflowing_average(self):
+        # -1e308 - 1e308 passes the largest double: the average would store -inf.
+        with pytest.raises(NonFiniteMetric, match="^metric entries must be finite$"):
+            Metric4(np.diag([1.0, -1e308, -1.0, -1.0]))
 
     def test_matrix_is_readonly(self):
         g = Metric4(np.diag([1.0, -1.0, -1.0, -1.0]))
