@@ -152,6 +152,15 @@ def _object(raw, where: str) -> dict | None:
     return raw
 
 
+METRIC_KINDS = ("matrix", "index", "coordinate_vacuum")  # the keys of a metric object
+
+
+def _metric(raw, where: str) -> dict | None:
+    for name in _object(raw, where) or ():
+        _require(name in METRIC_KINDS, f"{where}.{name}: unknown config key")
+    return raw
+
+
 def _launches(raw, where: str) -> tuple:
     """(origin, direction) per launch object."""
     _require(isinstance(raw, list) and raw, f"{where}: required list")
@@ -263,7 +272,7 @@ KEYS = (
     Key("rays.launches[].origin", _triple, (0.0, 0.0, 0.0), label="origin"),
     Key("rays.launches[].direction", _triple, label="direction"),
     Key(
-        "metric", _object, None, "--metric", "metric as JSON or a catalog index name",
+        "metric", _metric, None, "--metric", "metric as JSON or a catalog index name",
         shortcut=lambda text: ("metric", {"index": {"name": text}}),
     ),
     Key(
@@ -288,7 +297,7 @@ def _medium_entry(spec: dict | None, where: str) -> MediumCatalogEntry:
 def _metric_field(cfg: SceneConfig, gamma_field: MetricField) -> MetricField:
     spec = cfg.metric
     _require(spec is not None, "metric: required for this mode")
-    keys = [k for k in ("matrix", "index", "coordinate_vacuum") if spec.get(k)]
+    keys = [k for k in METRIC_KINDS if spec.get(k)]
     _require(
         len(keys) == 1,
         "metric: give exactly one of matrix, index, coordinate_vacuum",

@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     SuperluminalVelocity,
 )
-from .tensors import FieldTensor, TensorKind, Variance, _frozen, levi_civita3
+from .tensors import FieldTensor, TensorKind, Variance, _frozen, _matvec, levi_civita3
 
 __all__ = [
     "MaterialTensors",
@@ -214,23 +214,26 @@ def minkowski_moving_3d(
 
     Exact at u = 0 and whenever eps mu = 1; otherwise first order in u/c.
     """
-    e = np.asarray(e, dtype=float)
-    h = np.asarray(h, dtype=float)
-    beta = v.beta
-    coupling = m.eps * m.mu - 1.0
-    d = m.eps * e + coupling * np.cross(beta, h)
-    b = m.mu * h - coupling * np.cross(beta, e)
+    return _minkowski_moving(m.eps, m.mu, v.beta, np.asarray(e, dtype=float), np.asarray(h, dtype=float))
+
+
+def _minkowski_moving(eps, mu, beta, e, h) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`minkowski_moving_3d` for one medium or a stack: eps, mu (...), beta, e, h (..., 3)."""
+    eps = np.asarray(eps)[..., None]
+    mu = np.asarray(mu)[..., None]
+    coupling = eps * mu - 1.0
+    d = eps * e + coupling * np.cross(beta, h)
+    b = mu * h - coupling * np.cross(beta, e)
     return d, b
 
 
 def _cross_matrix(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
+    """The matrix of w x (.) for one vector w or a stack (..., 3)."""
+    m = np.zeros(w.shape + (3,))
+    m[..., 0, 1], m[..., 0, 2] = -w[..., 2], w[..., 1]
+    m[..., 1, 0], m[..., 1, 2] = w[..., 2], -w[..., 0]
+    m[..., 2, 0], m[..., 2, 1] = -w[..., 1], w[..., 0]
+    return m
 
 
 def _require_diagonal(m: np.ndarray, name: str) -> None:
@@ -270,18 +273,21 @@ def tamm_moving_anisotropic_3d(
     _require_diagonal(eps, "eps")
     _require_diagonal(mu, "mu")
     _require_axis_aligned(v.u)
-    e = np.asarray(e, dtype=float)
-    h = np.asarray(h, dtype=float)
+    return _tamm_moving(eps, mu, v.beta, np.asarray(e, dtype=float), np.asarray(h, dtype=float))
 
-    cross = _cross_matrix(v.beta)
-    system = np.zeros((6, 6))
-    system[:3, :3] = np.eye(3)
-    system[:3, 3:] = -(eps @ cross)
-    system[3:, :3] = mu @ cross
-    system[3:, 3:] = np.eye(3)
-    rhs = np.concatenate([eps @ e - cross @ h, mu @ h + cross @ e])
+
+def _tamm_moving(eps, mu, beta, e, h) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tamm_moving_anisotropic_3d` for one medium or a stack: eps, mu
+    (..., 3, 3), beta, e, h (..., 3); one 6x6 solve per medium."""
+    cross = _cross_matrix(beta)
+    system = np.zeros(eps.shape[:-2] + (6, 6))
+    system[..., :3, :3] = np.eye(3)
+    system[..., :3, 3:] = -(eps @ cross)
+    system[..., 3:, :3] = mu @ cross
+    system[..., 3:, 3:] = np.eye(3)
+    rhs = np.concatenate([_matvec(eps, e) - _matvec(cross, h), _matvec(mu, h) + _matvec(cross, e)], axis=-1)
     try:
-        solution = np.linalg.solve(system, rhs)
+        solution = np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    return solution[:3], solution[3:]
+    return solution[..., :3], solution[..., 3:]

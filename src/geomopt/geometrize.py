@@ -292,6 +292,11 @@ def leonhardt_velocity(g: Metric4, n: float, *, c: float = 1.0) -> np.ndarray:
     The spatial determinant is taken in absolute value (it is negative in
     this signature).  Raises UnitIndexSingularity when n^2 is within
     UNIT_INDEX_TOL of 1.
+
+    The reading is first order in u/c.  On Gordon's metric of a medium with
+    eps = mu = n moving at u, its relative error grows as (u/c)^2: at n = 1.7
+    it is 3.2e-8 at u/c = 1e-4, 3.2e-4 at 1e-2 and 3.3e-2 at 0.1, and at
+    u/c = 0.5 it returns 1.99 c.
     """
     isotropic_metric_from_index(n)  # raises for an index it cannot lift
     denom = n * n - 1.0

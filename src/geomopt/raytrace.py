@@ -285,7 +285,9 @@ class MediumCatalogEntry:
     interface: Callable[[np.ndarray], float] | None = None  # where the gradient jumps
 
     def index_at(self, point) -> float:
-        return float(self.index(np.asarray(point, dtype=float)[None])[0])
+        """n at one point; past about 1e154, where |p|^2 overflows to inf, with no warning."""
+        with np.errstate(over="ignore"):
+            return float(self.index(np.asarray(point, dtype=float)[None])[0])
 
     def metric_field(self) -> MetricField:
         return index_profile_field(self.index, interface=self.interface)
@@ -309,9 +311,11 @@ def luneburg_lens() -> MediumCatalogEntry:
         r2 = _r2(p)
         return np.sqrt(np.where(r2 <= 1.0, 2.0 - r2, 1.0))
 
-    return MediumCatalogEntry(
-        name="luneburg", index=index, interface=lambda p: float(p @ p) - 1.0
-    )
+    def interface(p: np.ndarray) -> float:
+        # np.vdot is p @ p bit for bit, but leaves overflow (inf) unreported.
+        return float(np.vdot(p, p)) - 1.0
+
+    return MediumCatalogEntry(name="luneburg", index=index, interface=interface)
 
 
 def homogeneous_medium(n: float = 1.0) -> MediumCatalogEntry:

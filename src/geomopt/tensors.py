@@ -328,6 +328,11 @@ def _f_dual(f: np.ndarray, s) -> np.ndarray:
     return _dual(f) / (2.0 * np.asarray(s)[..., None, None])
 
 
+def _g_dual(t: np.ndarray, s) -> np.ndarray:
+    """Matrix of :func:`dual_G` for one contravariant G and sqrt(-g), or stacks of both."""
+    return (-0.5 * np.asarray(s)[..., None, None]) * _dual(t)
+
+
 def dual_F(f: FieldTensor, g: Metric4) -> FieldTensor:
     """Dual conjugate of a covariant field-strength tensor.
 
@@ -350,7 +355,6 @@ def dual_G(t: FieldTensor, g: Metric4) -> FieldTensor:
     *G_{jk} = sqrt(-g) eps_{jkl} D^l; see :func:`dual_F` for the pairing.
     """
     _require_tags(t, Variance.CONTRAVARIANT, (TensorKind.G, TensorKind.G_DUAL), "dual_G")
-    s = sqrt_minus_det(g)
-    out = (-0.5 * s) * _dual(t.matrix)
+    out = _g_dual(t.matrix, sqrt_minus_det(g))
     kind = TensorKind.G_DUAL if t.kind is TensorKind.G else TensorKind.G
     return FieldTensor(out, Variance.COVARIANT, kind)

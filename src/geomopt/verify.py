@@ -23,12 +23,11 @@ import numpy as np
 
 from .constitutive import (
     IsotropicMedium,
-    MediumVelocity,
     _apply_lambda,
     _lambda,
+    _minkowski_moving,
     _mu_inverse,
-    minkowski_moving_3d,
-    tamm_moving_anisotropic_3d,
+    _tamm_moving,
 )
 from .errors import AsymmetricConnection, GridTooSmall, UnnormalizedVelocity
 from .geometrize import (
@@ -41,10 +40,12 @@ from .geometrize import (
     plebanski_stack,
 )
 from .sampling import (
-    _lorentzian_matrix,
+    _antisymmetric4,
+    _lorentzian_fields,
+    _lorentzian_matrices,
+    _symmetric_connection,
     random_antisymmetric4,
     random_spd3,
-    random_symmetric_connection,
 )
 from .tensors import (
     FieldTensor,
@@ -56,17 +57,12 @@ from .tensors import (
     _antisym,
     _congruent,
     _f_dual,
+    _g_dual,
     _inverse,
     _matvec,
     _packed,
     _unpacked,
-    build_F_lower,
-    build_G_upper,
-    dual_F,
-    dual_G,
     levi_civita3,
-    metric_inverse,
-    raise_field_tensor,
     sqrt_minus,
     sqrt_minus_det,
 )
@@ -295,14 +291,21 @@ def minkowski_projection_residual(
     norm = float(u4 @ u_low)
     if abs(norm - c * c) > VELOCITY_NORM_TOL * max(c * c, 1.0):
         raise UnnormalizedVelocity(f"g(u, u) = {norm}, expected {c * c}")
+    r1, r2 = _projection_residuals(
+        f.matrix, g_tensor.matrix, medium.eps, medium.mu, u_low, g.matrix, sqrt_minus_det(g)
+    )
+    return float(r1), float(r2)
 
-    f_up = raise_field_tensor(f, g).matrix
-    r1 = float(np.abs(g_tensor.matrix @ u_low - medium.eps * (f_up @ u_low)).max())
 
-    sf_up = dual_F(f, g).matrix
-    ginv = metric_inverse(g).matrix
-    sg_up = ginv @ dual_G(g_tensor, g).matrix @ ginv.T
-    r2 = float(np.abs(sf_up @ u_low - medium.mu * (sg_up @ u_low)).max())
+
+def _projection_residuals(f, g_up, eps, mu, u_low, m, s) -> tuple:
+    """The two residuals of :func:`minkowski_projection_residual` from matrices
+    F_ab, G^ab, g_ab, eps, mu, u_a and sqrt(-g): one of each or stacks."""
+    ginv = _inverse(m)
+    f_up = _antisym(_congruent(ginv, f))
+    r1 = _amax(_matvec(g_up, u_low) - np.asarray(eps)[..., None] * _matvec(f_up, u_low), 1)
+    sg_up = _congruent(ginv, _g_dual(g_up, s))
+    r2 = _amax(_matvec(_f_dual(f, s), u_low) - np.asarray(mu)[..., None] * _matvec(sg_up, u_low), 1)
     return r1, r2
 
 
@@ -397,15 +400,6 @@ def _stacked(draws: int, draw: Callable[[int], tuple]) -> list[np.ndarray]:
     return [np.array(parts) for parts in zip(*(draw(i) for i in range(draws)))]
 
 
-def _metric_draws(rng, draws) -> np.ndarray:
-    return np.array([_lorentzian_matrix(rng) for _ in range(draws)])
-
-
-def _field_draws(rng, draws) -> list[np.ndarray]:
-    """Metric, E and B, drawn in that order for each draw."""
-    return _stacked(draws, lambda _: (_lorentzian_matrix(rng), rng.normal(size=3), rng.normal(size=3)))
-
-
 def _amax(x: np.ndarray, ndim: int) -> np.ndarray:
     """max|x| over the last ``ndim`` axes: one value per draw."""
     return np.abs(x).max(axis=tuple(range(-ndim, 0)))
@@ -415,7 +409,7 @@ def _check_impedance_matching(rng, draws) -> CheckResult:
     # mu^{-1} by an independent route: unit B with E = 0 through the
     # four-dimensional map gives H = mu^{-1} B; then mu^{-1} eps = I, measured
     # relative to the rounding scale |mu^{-1}| |eps| of the product.
-    g = _metric_draws(rng, draws)
+    g = _lorentzian_matrices(rng, draws)
     eps = plebanski_stack(g, np.ones(draws))[0]
     f = _packed(TensorKind.F, np.zeros((3, 3)), np.eye(3))
     s = sqrt_minus(np.linalg.det(g))
@@ -427,7 +421,7 @@ def _check_impedance_matching(rng, draws) -> CheckResult:
 
 
 def _check_oracle_equivalence(rng, draws) -> CheckResult:
-    g, e, b = _field_draws(rng, draws)
+    g, e, b = _lorentzian_fields(rng, draws)
     s = sqrt_minus(np.linalg.det(g))
     f = _packed(TensorKind.F, e, b)
     d, h = _unpacked(TensorKind.G, _fourdim(s / sqrt_minus_det(MINKOWSKI), _inverse(g), f))
@@ -440,13 +434,14 @@ def _check_oracle_equivalence(rng, draws) -> CheckResult:
 
 
 def _cancellation_residuals(rng, draws, symmetric: bool) -> np.ndarray:
-    def draw(_):
-        f = random_antisymmetric4(rng)
-        df = rng.normal(size=(4, 4, 4))
-        gamma = random_symmetric_connection(rng) if symmetric else rng.normal(size=(4, 4, 4))
-        return f, 0.5 * (df - df.transpose(0, 2, 1)), gamma
-
-    f, df, gamma = _stacked(draws, draw)
+    # Per draw: random_antisymmetric4, then rng.normal(size=(4, 4, 4)) for the
+    # partials, then the connection; 16 + 64 + 64 normals in that order.
+    z = rng.standard_normal((draws, 144))
+    f = _antisymmetric4(z[:, :16].reshape(draws, 4, 4))
+    df = 0.0 + z[:, 16:80].reshape(draws, 4, 4, 4)
+    df = 0.5 * (df - df.transpose(0, 1, 3, 2))
+    gamma = z[:, 80:].reshape(draws, 4, 4, 4)
+    gamma = _symmetric_connection(gamma) if symmetric else 0.0 + gamma
     partial = _cyclic(df)
     lhs = partial - _connection_terms(gamma, f)
     scale = np.maximum(np.maximum(_amax(gamma, 3) * _amax(f, 2), _amax(df, 3)), 1.0)
@@ -464,12 +459,12 @@ def _check_christoffel_control(rng, draws) -> CheckResult:
 
 
 def _check_metric_identity(rng, draws) -> CheckResult:
-    g = _metric_draws(rng, draws)
+    g = _lorentzian_matrices(rng, draws)
     return _result("metric_identity", _metric_identity(g, _inverse(g)).max(), 1e-10)
 
 
 def _check_double_dual(rng, draws) -> CheckResult:
-    g, e, b = _field_draws(rng, draws)
+    g, e, b = _lorentzian_fields(rng, draws)
     s = sqrt_minus(np.linalg.det(g))
     f = _packed(TensorKind.F, e, b)
     once = _antisym(_congruent(g, _f_dual(f, s)))
@@ -479,7 +474,7 @@ def _check_double_dual(rng, draws) -> CheckResult:
 
 
 def _check_alternating_contraction(rng, draws) -> CheckResult:
-    s = sqrt_minus(np.linalg.det(_metric_draws(rng, draws)))
+    s = sqrt_minus(np.linalg.det(_lorentzian_matrices(rng, draws)))
     up = _alternating(s, Variance.CONTRAVARIANT)
     low = _alternating(s, Variance.COVARIANT)
     worst = np.abs(np.einsum("...abcd,...abcd->...", up, low) + 24.0) / 24.0
@@ -521,7 +516,7 @@ def _check_inverse_roundtrip() -> CheckResult:
 
 
 def _check_curvilinear_reduction(rng, draws) -> CheckResult:
-    g = _metric_draws(rng, draws)
+    g = _lorentzian_matrices(rng, draws)
     cart_eps, cart_w, _, _ = plebanski_stack(g, np.ones(draws))
     curv_eps, curv_w, _, _ = plebanski_stack(g, np.full(draws, sqrt_minus_det(MINKOWSKI)))
     worst = np.maximum(_amax(cart_eps - curv_eps, 2), _amax(cart_w - curv_w, 1))
@@ -544,52 +539,41 @@ def _check_spherical_identity(rng, draws) -> CheckResult:
 
 
 def _check_moving_reductions(rng, draws, c) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
+    def draw(_):
         e = rng.normal(size=3)
         h = rng.normal(size=3)
-        eps = float(rng.uniform(0.3, 4.0))
-        mu = float(rng.uniform(0.3, 4.0))
-        d, b = minkowski_moving_3d(
-            IsotropicMedium(eps, mu), MediumVelocity(np.zeros(3), c=c), e, h
-        )
-        worst = max(worst, float(np.abs(d - eps * e).max()), float(np.abs(b - mu * h).max()))
+        eps = rng.uniform(0.3, 4.0)
+        mu = rng.uniform(0.3, 4.0)
         # impedance-matched pair with an exact dyadic product eps * mu = 1
-        eps = float(rng.choice([0.25, 0.5, 2.0, 4.0, 8.0]))
-        medium = IsotropicMedium(eps, 1.0 / eps)
-        v = MediumVelocity(rng.uniform(-0.3, 0.3, size=3) * c, c=c)
-        d, b = minkowski_moving_3d(medium, v, e, h)
-        worst = max(
-            worst,
-            float(np.abs(d - eps * e).max()),
-            float(np.abs(b - h / eps).max()),
-        )
-    return _result("moving_media_reductions", worst, 1e-14)
+        matched = rng.choice([0.25, 0.5, 2.0, 4.0, 8.0])
+        return e, h, eps, mu, matched, rng.uniform(-0.3, 0.3, size=3) * c
+
+    e, h, eps, mu, matched, u = _stacked(draws, draw)
+    d, b = _minkowski_moving(eps, mu, np.zeros(3), e, h)
+    worst = np.maximum(_amax(d - eps[:, None] * e, 1), _amax(b - mu[:, None] * h, 1))
+    d, b = _minkowski_moving(matched, 1.0 / matched, u / c, e, h)
+    worst = np.maximum(worst, _amax(d - matched[:, None] * e, 1))
+    worst = np.maximum(worst, _amax(b - h / matched[:, None], 1))
+    return _result("moving_media_reductions", worst.max(), 1e-14)
 
 
 def _check_tamm_isotropic(rng, draws, c) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        eps = float(rng.uniform(0.5, 3.0))
-        mu = float(rng.uniform(0.5, 3.0))
-        axis = int(rng.integers(0, 3))
+    def draw(_):
+        eps = rng.uniform(0.5, 3.0)
+        mu = rng.uniform(0.5, 3.0)
+        axis = rng.integers(0, 3)
         u = np.zeros(3)
         u[axis] = rng.uniform(1e-7, 3e-7) * rng.choice([-1.0, 1.0]) * c
-        v = MediumVelocity(u, c=c)
-        e = rng.normal(size=3)
-        h = rng.normal(size=3)
-        medium = IsotropicMedium(eps, mu)
-        d_ref, b_ref = minkowski_moving_3d(medium, v, e, h)
-        d_got, b_got = tamm_moving_anisotropic_3d(
-            eps * np.eye(3), mu * np.eye(3), v, e, h
-        )
-        scale = max(1.0, float(np.abs(d_ref).max()), float(np.abs(b_ref).max()))
-        worst = max(
-            worst,
-            float(np.abs(d_got - d_ref).max()) / scale,
-            float(np.abs(b_got - b_ref).max()) / scale,
-        )
-    return _result("tamm_isotropic_agreement", worst, 1e-10)
+        return eps, mu, u, rng.normal(size=3), rng.normal(size=3)
+
+    eps, mu, u, e, h = _stacked(draws, draw)
+    beta = u / c
+    d_ref, b_ref = _minkowski_moving(eps, mu, beta, e, h)
+    eye = np.eye(3)
+    d_got, b_got = _tamm_moving(eps[:, None, None] * eye, mu[:, None, None] * eye, beta, e, h)
+    scale = np.maximum(np.maximum(1.0, _amax(d_ref, 1)), _amax(b_ref, 1))
+    worst = np.maximum(_amax(d_got - d_ref, 1) / scale, _amax(b_got - b_ref, 1) / scale)
+    return _result("tamm_isotropic_agreement", worst.max(), 1e-10)
 
 
 def sine_wave_potential(points: np.ndarray) -> np.ndarray:
@@ -646,20 +630,16 @@ def _check_divergence_order() -> CheckResult:
 
 
 def _check_projection_rest(rng, draws, c) -> CheckResult:
-    worst = 0.0
-    for _ in range(draws):
-        eps = float(rng.uniform(0.5, 3.0))
-        mu = float(rng.uniform(0.5, 3.0))
-        e = rng.normal(size=3)
-        h = rng.normal(size=3)
-        f = build_F_lower(e, mu * h)
-        g_tensor = build_G_upper(eps * e, h)
-        r1, r2 = minkowski_projection_residual(
-            f, g_tensor, IsotropicMedium(eps, mu), np.array([c, 0, 0, 0]), MINKOWSKI,
-            c=c,
-        )
-        worst = max(worst, r1 / c, r2 / c)
-    return _result("minkowski_projection_rest", worst, 1e-12)
+    def draw(_):
+        return rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.normal(size=3), rng.normal(size=3)
+
+    eps, mu, e, h = _stacked(draws, draw)
+    f = _packed(TensorKind.F, e, mu[:, None] * h)
+    g_up = _packed(TensorKind.G, eps[:, None] * e, h)
+    g = MINKOWSKI.matrix
+    u_low = g @ np.array([c, 0, 0, 0], dtype=float)
+    r1, r2 = _projection_residuals(f, g_up, eps, mu, u_low, g, sqrt_minus_det(MINKOWSKI))
+    return _result("minkowski_projection_rest", np.maximum(r1 / c, r2 / c).max(), 1e-12)
 
 
 def default_check_suite(seed: int = DEFAULT_SEED, *, c: float = 1.0) -> list[CheckResult]:

@@ -177,6 +177,11 @@ CASES = [
     ("launch-unknown-key", [], launch(direction=[1, 0, 0], frequncy=2), "rays.launches[0].frequncy: unknown config key"),
     ("launch-unknown-key-second", [], trace(launches=ALONG_X + [{"direction": [0, 1, 0], "dir": 1}]),
      "rays.launches[1].dir: unknown config key"),
+    ("metric-unknown-key", [], geometrize(metric={"matrix": ETA, "indx": {"name": "luneburg"}}),
+     "metric.indx: unknown config key"),
+    ("metric-flag-unknown-key", ["geometrize", "--grid", "1,1,1", "--metric",
+                                 '{"matrix": [[1,0,0,0],[0,-1,0,0],[0,0,-1,0],[0,0,0,-1]], "indx": {"name": "luneburg"}}'],
+     None, "metric.indx: unknown config key"),
     # inverse and trace read Cartesian points only
     ("coordinates-inverse", [], inverse(coordinates="spherical"),
      "coordinates: inverse mode takes only cartesian, got 'spherical'"),

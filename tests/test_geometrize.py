@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from geomopt import (
     MINKOWSKI,
+    MediumVelocity,
     Metric4,
     MetricField,
     NonLorentzian,
@@ -30,6 +31,7 @@ from geomopt import (
     plebanski_stack,
     raise_field_tensor,
     sqrt_minus_det,
+    tamm_moving_anisotropic_3d,
     trace_ray,
 )
 from geomopt import geometrize
@@ -369,6 +371,46 @@ class TestIndexLift:
         )
 
 
+def gordon_metric(n: float, beta: np.ndarray) -> Metric4:
+    """Gordon's optical metric eta + (1/n^2 - 1) u_a u_b / c^2 of a medium with
+    eps = mu = n moving at u = beta c, with u^a = gamma (c, u)."""
+    u_low = np.concatenate(([1.0], -beta)) / math.sqrt(1.0 - float(beta @ beta))
+    return Metric4(MINKOWSKI.matrix + (1.0 / (n * n) - 1.0) * np.outer(u_low, u_low))
+
+
+class TestGordonMetric:
+    """Plebanski's map of the Gordon metric is Minkowski's moving medium: two
+    independently coded modules, geometrize and constitutive, meet to rounding."""
+
+    def test_plebanski_of_gordon_is_the_exact_moving_medium(self):
+        # g_00 = (1 - n^2 beta^2) / (n^2 (1 - beta^2)) vanishes where the medium
+        # moves at its own speed of light, and the map divides by it; so the
+        # relative difference is weighted by n^2 |g_00|.  Over 15000 draws it
+        # read at most 8.4e-15 so weighted (unweighted: 1.6e-11 at
+        # n^2 |g_00| = 9e-5); the bound leaves a margin of 12.
+        rng = np.random.default_rng(1923)
+        worst, faster_than_light = 0.0, 0
+        for i in range(400):
+            c = (1.0, 3.0)[i % 2]
+            n = rng.uniform(1.1, 3.0)
+            u = np.zeros(3)
+            u[rng.integers(0, 3)] = rng.uniform(-0.6, 0.6) * c
+            res = plebanski_cartesian(gordon_metric(n, u / c))
+            e, h = rng.normal(size=3), rng.normal(size=3)
+            d, b = geometrized_constitutive(res, e, h)
+            d_ref, b_ref = tamm_moving_anisotropic_3d(
+                n * np.eye(3), n * np.eye(3), MediumVelocity(u, c=c), e, h
+            )
+            scale = max(float(np.abs(d_ref).max()), float(np.abs(b_ref).max()))
+            diff = max(float(np.abs(d - d_ref).max()), float(np.abs(b - b_ref).max())) / scale
+            worst = max(worst, diff * n * n * abs(res.g00))
+            # n |u| > c: the medium outruns its own light and g_00 < 0
+            assert res.negative_g00 == (n * float(np.abs(u).max()) > c)
+            faster_than_light += res.negative_g00
+        assert faster_than_light > 40
+        assert worst < 1e-13
+
+
 class TestLeonhardtVelocity:
     def test_static_metric_gives_zero(self, rng):
         g = Metric4(np.diag([1.0, -4.0, -1.0, -1.0]))
@@ -382,6 +424,19 @@ class TestLeonhardtVelocity:
         u1 = leonhardt_velocity(Metric4(OFFSET_METRIC), 2.0, c=1.0)
         u2 = leonhardt_velocity(Metric4(OFFSET_METRIC), 2.0, c=2.0)
         assert_allclose(u2, 2.0 * u1)
+
+    def test_first_order_on_the_gordon_metric(self):
+        # At n = 1.7 the reading is off by about 3.217 beta^2, relative:
+        # 3.2e-8 at beta = 1e-4, 3.2e-4 at 1e-2.
+        def error(beta):
+            u = leonhardt_velocity(gordon_metric(1.7, np.array([beta, 0.0, 0.0])), 1.7)
+            assert u[1:].tolist() == [0.0, 0.0]
+            return abs(u[0] - beta) / beta
+
+        small, large = error(1e-4), error(1e-2)
+        assert small == pytest.approx(3.217e-8, rel=1e-3)
+        assert large == pytest.approx(3.218e-4, rel=1e-3)
+        assert math.log10(large / small) / 2.0 == pytest.approx(2.0, abs=1e-3)
 
     def test_unit_index_guard(self):
         with pytest.raises(UnitIndexSingularity):

@@ -287,6 +287,20 @@ class TestCatalog:
         inside = lens.index_at([1.0 - 1e-9, 0.0, 0.0])
         assert inside == pytest.approx(1.0, abs=1e-8)
 
+    def test_far_points_overflow_without_warning(self):
+        # |p|^2 overflows to inf past about 1e154: outside the lens, n = 1,
+        # and the fish-eye index falls to 0.  RuntimeWarnings fail the suite.
+        far = np.array([1e200, 0.0, 0.0])
+        lens = luneburg_lens()
+        assert lens.interface(far) == math.inf
+        assert lens.index_at(far) == 1.0
+        assert maxwell_fisheye().index_at(far) == 0.0
+
+    def test_rim_is_p_dot_p_minus_one(self):
+        rim = luneburg_lens().interface
+        points = np.random.default_rng(5).normal(size=(1000, 3)) * 10.0 ** np.arange(-3, 3, 0.006)[:, None]
+        assert [rim(p) for p in points] == [float(p @ p) - 1.0 for p in points]
+
     def test_fisheye_profile(self):
         fe = maxwell_fisheye()
         assert fe.index_at([0.0, 0.0, 0.0]) == pytest.approx(2.0)

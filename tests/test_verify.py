@@ -23,6 +23,7 @@ from geomopt import (
     minkowski_projection_residual,
     reconstruct_E_from_DH,
     reconstruct_H_from_EB,
+    tamm_moving_anisotropic_3d,
 )
 from geomopt import (
     FieldTensor,
@@ -44,8 +45,13 @@ from geomopt import (
     plebanski_curvilinear,
     sqrt_minus_det,
 )
-from geomopt import verify
+from geomopt import sampling, verify
 from geomopt.sampling import (
+    ANTISYMMETRIC_SCALE,
+    CONNECTION_SCALE,
+    FRAME_SCALE,
+    MIN_FRAME_DET,
+    MIN_G00,
     random_antisymmetric4,
     random_lorentzian_metric,
     random_spd3,
@@ -382,13 +388,41 @@ class TestDefaultSuite:
 # Per-draw reference loops for the batched checks.  These are the checks as
 # they were written before batching: one draw at a time through the scalar
 # public functions.  The batched checks must give the same residual bit for
-# bit and leave the generator in the same state.
+# bit and leave the generator in the same state.  The random draws are
+# spelled out here as well, one rng.normal call per draw, so that the
+# references share no code with the block samplers of geomopt.sampling.
+
+
+def ref_lorentzian_matrix(rng):
+    eta = MINKOWSKI.matrix
+    while True:
+        frame = np.eye(4) + rng.normal(0.0, FRAME_SCALE, size=(4, 4))
+        if abs(np.linalg.det(frame)) < MIN_FRAME_DET:
+            continue
+        g = frame @ eta @ frame.T
+        if g[0, 0] < MIN_G00:
+            continue
+        return 0.5 * (g + g.T)
+
+
+def ref_lorentzian_metric(rng):
+    return Metric4(ref_lorentzian_matrix(rng))
+
+
+def ref_antisymmetric4(rng):
+    a = rng.normal(0.0, ANTISYMMETRIC_SCALE, size=(4, 4))
+    return a - a.T
+
+
+def ref_symmetric_connection(rng):
+    gamma = rng.normal(0.0, CONNECTION_SCALE, size=(4, 4, 4))
+    return 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
 
 def ref_impedance_matching(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        g = random_lorentzian_metric(rng)
+        g = ref_lorentzian_metric(rng)
         eps = plebanski_cartesian(g).material.eps
         fields = [build_F_lower(np.zeros(3), b) for b in np.eye(3)]
         mu_inv = np.array([extract_DH(fourdim_constitutive(g, MINKOWSKI, f))[1] for f in fields]).T
@@ -400,7 +434,7 @@ def ref_impedance_matching(rng, draws):
 def ref_oracle_equivalence(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        g = random_lorentzian_metric(rng)
+        g = ref_lorentzian_metric(rng)
         e = rng.normal(size=3)
         b = rng.normal(size=3)
         f = build_F_lower(e, b)
@@ -415,10 +449,10 @@ def ref_oracle_equivalence(rng, draws):
 
 
 def ref_cancellation_residual(rng, symmetric):
-    f = random_antisymmetric4(rng)
+    f = ref_antisymmetric4(rng)
     df = rng.normal(size=(4, 4, 4))
     df = 0.5 * (df - df.transpose(0, 2, 1))
-    gamma = random_symmetric_connection(rng) if symmetric else rng.normal(size=(4, 4, 4))
+    gamma = ref_symmetric_connection(rng) if symmetric else rng.normal(size=(4, 4, 4))
     lhs = cyclic_covariant_sum(df, f, gamma, validate=False)
     rhs = cyclic_partial_sum(df)
     scale = max(
@@ -438,13 +472,13 @@ def ref_christoffel_control(rng, draws):
 
 
 def ref_metric_identity(rng, draws):
-    return max(metric_identity_residual(random_lorentzian_metric(rng)) for _ in range(draws))
+    return max(metric_identity_residual(ref_lorentzian_metric(rng)) for _ in range(draws))
 
 
 def ref_double_dual(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        g = random_lorentzian_metric(rng)
+        g = ref_lorentzian_metric(rng)
         f = build_F_lower(rng.normal(size=3), rng.normal(size=3))
         once = lower_field_tensor(dual_F(f, g), g)
         twice = lower_field_tensor(dual_F(once, g), g)
@@ -456,7 +490,7 @@ def ref_double_dual(rng, draws):
 def ref_alternating_contraction(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        g = random_lorentzian_metric(rng)
+        g = ref_lorentzian_metric(rng)
         up = alternating_tensor(g, Variance.CONTRAVARIANT)
         low = alternating_tensor(g, Variance.COVARIANT)
         worst = max(worst, abs(float(np.einsum("abcd,abcd->", up, low)) + 24.0) / 24.0)
@@ -473,7 +507,7 @@ def ref_lambda_equivalence(rng, draws):
         else:
             eps = random_spd3(rng)
             mu = random_spd3(rng)
-        f = FieldTensor(random_antisymmetric4(rng), Variance.CONTRAVARIANT, TensorKind.F)
+        f = FieldTensor(ref_antisymmetric4(rng), Variance.CONTRAVARIANT, TensorKind.F)
         got = apply_lambda(lambda_from_eps_mu(eps, mu), f).matrix
         mu_inv = np.linalg.inv(mu)
         top = eps @ f.matrix[0, 1:]
@@ -490,7 +524,7 @@ def ref_lambda_equivalence(rng, draws):
 def ref_curvilinear_reduction(rng, draws):
     worst = 0.0
     for _ in range(draws):
-        g = random_lorentzian_metric(rng)
+        g = ref_lorentzian_metric(rng)
         cart = plebanski_cartesian(g)
         curv = plebanski_curvilinear(g, MINKOWSKI)
         worst = max(
@@ -518,31 +552,174 @@ def ref_spherical_identity(rng, draws):
     return worst
 
 
-# The batched checks in suite order, each with its reference and draw count;
-# between them the suite makes no other draws.
+def ref_moving_reductions(rng, draws, c):
+    worst = 0.0
+    for _ in range(draws):
+        e = rng.normal(size=3)
+        h = rng.normal(size=3)
+        eps = float(rng.uniform(0.3, 4.0))
+        mu = float(rng.uniform(0.3, 4.0))
+        d, b = minkowski_moving_3d(
+            IsotropicMedium(eps, mu), MediumVelocity(np.zeros(3), c=c), e, h
+        )
+        worst = max(worst, float(np.abs(d - eps * e).max()), float(np.abs(b - mu * h).max()))
+        # impedance-matched pair with an exact dyadic product eps * mu = 1
+        eps = float(rng.choice([0.25, 0.5, 2.0, 4.0, 8.0]))
+        medium = IsotropicMedium(eps, 1.0 / eps)
+        v = MediumVelocity(rng.uniform(-0.3, 0.3, size=3) * c, c=c)
+        d, b = minkowski_moving_3d(medium, v, e, h)
+        worst = max(
+            worst,
+            float(np.abs(d - eps * e).max()),
+            float(np.abs(b - h / eps).max()),
+        )
+    return worst
+
+
+def ref_tamm_isotropic(rng, draws, c):
+    worst = 0.0
+    for _ in range(draws):
+        eps = float(rng.uniform(0.5, 3.0))
+        mu = float(rng.uniform(0.5, 3.0))
+        axis = int(rng.integers(0, 3))
+        u = np.zeros(3)
+        u[axis] = rng.uniform(1e-7, 3e-7) * rng.choice([-1.0, 1.0]) * c
+        v = MediumVelocity(u, c=c)
+        e = rng.normal(size=3)
+        h = rng.normal(size=3)
+        medium = IsotropicMedium(eps, mu)
+        d_ref, b_ref = minkowski_moving_3d(medium, v, e, h)
+        d_got, b_got = tamm_moving_anisotropic_3d(
+            eps * np.eye(3), mu * np.eye(3), v, e, h
+        )
+        scale = max(1.0, float(np.abs(d_ref).max()), float(np.abs(b_ref).max()))
+        worst = max(
+            worst,
+            float(np.abs(d_got - d_ref).max()) / scale,
+            float(np.abs(b_got - b_ref).max()) / scale,
+        )
+    return worst
+
+
+def ref_projection_rest(rng, draws, c):
+    worst = 0.0
+    for _ in range(draws):
+        eps = float(rng.uniform(0.5, 3.0))
+        mu = float(rng.uniform(0.5, 3.0))
+        e = rng.normal(size=3)
+        h = rng.normal(size=3)
+        f = build_F_lower(e, mu * h)
+        g_tensor = build_G_upper(eps * e, h)
+        r1, r2 = minkowski_projection_residual(
+            f, g_tensor, IsotropicMedium(eps, mu), np.array([c, 0, 0, 0]), MINKOWSKI,
+            c=c,
+        )
+        worst = max(worst, r1 / c, r2 / c)
+    return worst
+
+
+# The batched checks in suite order, each with its reference, its draw count
+# and whether it takes c; between them the suite makes no other draws.
 BATCHED_CHECKS = [
-    ("_check_impedance_matching", ref_impedance_matching, 1000),
-    ("_check_oracle_equivalence", ref_oracle_equivalence, 1000),
-    ("_check_christoffel_cancellation", ref_christoffel_cancellation, 1000),
-    ("_check_christoffel_control", ref_christoffel_control, 50),
-    ("_check_metric_identity", ref_metric_identity, 1000),
-    ("_check_double_dual", ref_double_dual, 1000),
-    ("_check_alternating_contraction", ref_alternating_contraction, 1000),
-    ("_check_lambda_equivalence", ref_lambda_equivalence, 1000),
-    ("_check_curvilinear_reduction", ref_curvilinear_reduction, 200),
-    ("_check_spherical_identity", ref_spherical_identity, 100),
+    ("_check_impedance_matching", ref_impedance_matching, 1000, False),
+    ("_check_oracle_equivalence", ref_oracle_equivalence, 1000, False),
+    ("_check_christoffel_cancellation", ref_christoffel_cancellation, 1000, False),
+    ("_check_christoffel_control", ref_christoffel_control, 50, False),
+    ("_check_metric_identity", ref_metric_identity, 1000, False),
+    ("_check_double_dual", ref_double_dual, 1000, False),
+    ("_check_alternating_contraction", ref_alternating_contraction, 1000, False),
+    ("_check_lambda_equivalence", ref_lambda_equivalence, 1000, False),
+    ("_check_curvilinear_reduction", ref_curvilinear_reduction, 200, False),
+    ("_check_spherical_identity", ref_spherical_identity, 100, False),
+    ("_check_moving_reductions", ref_moving_reductions, 100, True),
+    ("_check_tamm_isotropic", ref_tamm_isotropic, 100, True),
+    ("_check_projection_rest", ref_projection_rest, 50, True),
 ]
 
 
-@pytest.mark.parametrize("seed", [1729, 7, 99, 4242])
-def test_batched_checks_match_per_draw_reference(seed):
+@pytest.mark.parametrize(
+    "seed, c",
+    [(1729, 1.0), (7, 3.0), (99, 1.0), (4242, 29979245800.0)],
+    ids=["1729", "7", "99", "4242"],
+)
+def test_batched_checks_match_per_draw_reference(seed, c):
     ref_rng = np.random.default_rng(seed)
     rng = np.random.default_rng(seed)
-    for attr, reference, draws in BATCHED_CHECKS:
-        expected = reference(ref_rng, draws)
-        got = getattr(verify, attr)(rng, draws)
+    for attr, reference, draws, takes_c in BATCHED_CHECKS:
+        args = (draws, c) if takes_c else (draws,)
+        expected = reference(ref_rng, *args)
+        got = getattr(verify, attr)(rng, *args)
         assert got.residual.hex() == expected.hex(), attr
         assert rng.bit_generator.state == ref_rng.bit_generator.state, attr
+
+
+def test_batched_checks_cover_every_random_draw_check():
+    checks = {attr for attr in vars(verify) if attr.startswith("_check_")}
+    drawless = {
+        "_check_vacuum_identity",
+        "_check_inverse_roundtrip",
+        "_check_bianchi_order",
+        "_check_divergence_order",
+    }
+    assert {attr for attr, *_ in BATCHED_CHECKS} == checks - drawless
+
+
+class CountingFrames:
+    """A generator that counts the frames ref_lorentzian_matrix draws from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.frames = 0
+
+    def normal(self, *args, size=None, **kwargs):
+        self.frames += size == (4, 4)
+        return self.rng.normal(*args, size=size, **kwargs)
+
+
+# Seed 8 rejects the first frame it draws, so a one-metric call already
+# needs more normals than its first block holds.
+SAMPLER_SEEDS = [8, 1729, 7, 99, 4242]
+SAMPLER_COUNTS = (1, 7, 1000, 1, 7)
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_metric_block_sampler_matches_per_draw_loop(seed):
+    ref_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    for count in SAMPLER_COUNTS:
+        expected = np.array([ref_lorentzian_matrix(ref_rng) for _ in range(count)])
+        got = sampling._lorentzian_matrices(rng, count)
+        assert got.tobytes() == expected.tobytes(), count
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, count
+    expected = ref_lorentzian_metric(ref_rng)
+    assert random_lorentzian_metric(rng).matrix.tobytes() == expected.matrix.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_field_walk_matches_per_draw_loop(seed):
+    ref_rng = CountingFrames(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    refills = []
+    for count in SAMPLER_COUNTS:
+        first = ref_rng.frames
+        expected = [
+            np.array(part)
+            for part in zip(
+                *(
+                    (ref_lorentzian_matrix(ref_rng), ref_rng.normal(size=3), ref_rng.normal(size=3))
+                    for _ in range(count)
+                )
+            )
+        ]
+        # The walk's first block holds one frame per draw; each rejection needs more.
+        refills.append(ref_rng.frames - first > count)
+        got = sampling._lorentzian_fields(rng, count)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected], count
+        assert rng.bit_generator.state == ref_rng.rng.bit_generator.state, count
+    assert refills[2], "1000 draws without a rejected frame"
+    if seed == 8:
+        assert refills[0], "seed 8 no longer rejects its first frame"
 
 
 def test_impedance_matching_fails_when_eps_is_not_mu(monkeypatch):
@@ -564,7 +741,7 @@ class TestStackHelpers:
 
     def test_reconstructions(self):
         rng = np.random.default_rng(11)
-        g = [random_lorentzian_metric(rng) for _ in range(200)]
+        g = [ref_lorentzian_metric(rng) for _ in range(200)]
         v, w = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
         m = np.array([x.matrix for x in g])
         s = np.array([sqrt_minus_det(x) for x in g])
